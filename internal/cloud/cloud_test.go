@@ -489,11 +489,10 @@ func TestLBDNSAnswersHomeShard(t *testing.T) {
 	}
 }
 
-// TestOneShardPlaneUsesLegacyPath checks the 1-shard degenerate case: all
-// topics route to shard 0 and nothing is ever counted as forwarded, which
-// is the structural half of the byte-identity equivalence (the fleet-level
-// test covers the full wire equivalence).
-func TestOneShardPlaneUsesLegacyPath(t *testing.T) {
+// TestOneShardPlaneDeliversOnceForwardsNone checks the 1-shard
+// degenerate case: all topics route to shard 0, the subscriber gets
+// exactly one copy, and nothing is ever counted as forwarded.
+func TestOneShardPlaneDeliversOnceForwardsNone(t *testing.T) {
 	p := testPlane(1, 4)
 	c0 := newPlaneClient(t, p, testDeviceIP(0))
 	c1 := newPlaneClient(t, p, testDeviceIP(1))
@@ -507,7 +506,6 @@ func TestOneShardPlaneUsesLegacyPath(t *testing.T) {
 	}
 	stats := p.ShardStats()
 	if len(stats) != 1 || stats[0].Forwarded != 0 {
-		t.Errorf("one-shard plane forwarded %d deliveries, want 0 (legacy fan-out path)",
-			stats[0].Forwarded)
+		t.Errorf("one-shard plane forwarded %d deliveries, want 0", stats[0].Forwarded)
 	}
 }

@@ -1,15 +1,17 @@
 // Package cloud is the sharded cloud control plane for fleet
 // simulations: N netsim.Broker shards partitioned by topic, fronted by a
 // load balancer that steers each device's connection to the shard owning
-// its topics and forwards cross-shard subscriptions, plus a
-// deterministic scheduler for cloud-initiated events (fan-out publishes,
-// per-device commands, shard failovers).
+// its topics, plus a deterministic scheduler for cloud-initiated events
+// (fan-out publishes, per-device commands, shard failovers).
 //
-// The single-broker cloud serializes every device's MQTT dispatch behind
-// one host mutex and fans every publish out with a linear scan over all
-// sessions, so the shared side stops scaling exactly where the fleet's
-// worker pool starts. Sharding divides both: each shard dispatches and
-// scans only its own sessions, and shards run under independent locks.
+// Each shard dispatches its own devices' MQTT traffic under its own host
+// mutex, so the shared side scales with the fleet's worker pool. Topic
+// routing lives in the brokers: the plane only tells each broker, at
+// construction, which shard owns a topic (ShardForTopic). Every
+// subscription is recorded in the owning shard's topic index, and every
+// publish is delivered through one lookup there, wherever its
+// subscribers are homed. Shards model failover, partitions and per-shard
+// counters.
 //
 // Determinism. Everything the plane does is either (a) a synchronous
 // consequence of a device-originated frame, or (b) a cloud-initiated
@@ -26,14 +28,12 @@ import (
 
 // Config describes a control plane.
 type Config struct {
-	// Shards is the broker shard count; 0 and 1 both mean a single shard,
-	// which behaves byte-identically to the pre-sharding broker.
+	// Shards is the broker shard count; 0 and 1 both mean a single shard.
 	Shards int
 	// Devices is the fleet size, used for device-range topic partitioning
 	// and per-device home-shard assignment.
 	Devices int
-	// BaseIP is shard 0's address; shard k listens on BaseIP+k. With one
-	// shard this is exactly the legacy broker address.
+	// BaseIP is shard 0's address; shard k listens on BaseIP+k.
 	BaseIP uint32
 	// RootSecret and Cert are shared by all shards (one logical cloud
 	// identity), so a device's TLS handshake is the same bytes whichever
@@ -65,7 +65,6 @@ type Shard struct {
 	IP     uint32
 	Host   *netsim.ServerHost
 	Broker *netsim.Broker
-	reg    *registry
 }
 
 // Plane is a running control plane.
@@ -86,7 +85,8 @@ type ShardCounters struct {
 	Superseded   int `json:"superseded"`
 	Reaped       int `json:"reaped"`
 	// Forwarded counts cross-shard deliveries routed through this shard's
-	// topic registry (deliveries to sessions homed on another shard).
+	// topic index (deliveries to sessions homed on another shard than the
+	// one the publish entered).
 	Forwarded int `json:"forwarded"`
 }
 
@@ -100,17 +100,15 @@ func NewPlane(cfg Config) *Plane {
 		cfg.Devices = 1
 	}
 	p := &Plane{cfg: cfg}
+	owner := func(topic string) *netsim.Broker { return p.Shards[p.ShardForTopic(topic)].Broker }
 	for i := 0; i < cfg.Shards; i++ {
 		host, broker := netsim.NewBroker(cfg.BaseIP+uint32(i), cfg.RootSecret, cfg.Cert)
 		broker.SetRetain(cfg.Retain)
 		if cfg.SessionTTL > 0 {
 			broker.SetSessionTTL(cfg.SessionTTL)
 		}
-		sh := &Shard{Index: i, IP: cfg.BaseIP + uint32(i), Host: host, Broker: broker,
-			reg: newRegistry()}
-		broker.SetShard(i)
-		broker.SetRouter(&shardRouter{plane: p, home: i})
-		p.Shards = append(p.Shards, sh)
+		broker.SetShard(i, owner)
+		p.Shards = append(p.Shards, &Shard{Index: i, IP: cfg.BaseIP + uint32(i), Host: host, Broker: broker})
 	}
 	p.dns = p.newLBDNS()
 	p.ntp = netsim.NewSharedNTPServer(cfg.NTPIP, cfg.NTPBaseUnixMillis)
@@ -147,18 +145,12 @@ func (p *Plane) ShardForTopic(topic string) int {
 	return shardForTopic(topic, p.cfg.Devices, len(p.Shards))
 }
 
-// Publish is the cloud-side injection path used by tests: deliver to
-// every subscriber of the topic, wherever its session is homed, exactly
-// once. Returns the number delivered.
+// Publish is the cloud-side injection path used by tests: it publishes
+// at the shard owning the topic, which delivers to every subscriber of
+// the topic, wherever its session is homed, exactly once. Returns the
+// number delivered.
 func (p *Plane) Publish(topic string, payload []byte) int {
-	owner := p.Shards[p.ShardForTopic(topic)]
-	n := 0
-	for _, sub := range owner.reg.snapshot(topic) {
-		if sub.sess.Deliver(topic, payload) {
-			n++
-		}
-	}
-	return n
+	return p.Shards[p.ShardForTopic(topic)].Broker.Publish(topic, payload)
 }
 
 // DeliverToDevice pushes one publish into a single device's session on
@@ -172,7 +164,7 @@ func (p *Plane) DeliverToDevice(deviceIndex int, deviceIP uint32, topic string, 
 	if s == nil {
 		return false
 	}
-	return s.DeliverTraced(topic, payload, trace)
+	return s.Deliver(topic, payload, trace)
 }
 
 // KickDevice resets the device's current session on its home shard (the
@@ -196,11 +188,12 @@ func (p *Plane) ShardStats() []ShardCounters {
 	for i, sh := range p.Shards {
 		c, s, pub := sh.Broker.Counts()
 		superseded, reaped := sh.Broker.ReapStats()
+		forwarded, _ := sh.Broker.IndexStats()
 		out[i] = ShardCounters{
 			Shard: i, Connects: c, Subscribes: s, Publishes: pub,
 			LiveSessions: sh.Broker.LiveSessions(),
 			Superseded:   superseded, Reaped: reaped,
-			Forwarded: sh.reg.forwardedCount(),
+			Forwarded: forwarded,
 		}
 	}
 	return out

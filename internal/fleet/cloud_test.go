@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 )
@@ -14,33 +15,32 @@ func neutralizeMode(s *Summary) {
 	s.Lockstep = false
 }
 
-// TestFleetOneShardMatchesLegacyBroker is the satellite equivalence
-// property: a 1-shard control plane must be byte-for-byte indistinguishable
-// (in the deterministic Summary JSON) from the pre-sharding single broker —
-// same DNS answers, same TLS bytes, same fan-out order, same counters.
-func TestFleetOneShardMatchesLegacyBroker(t *testing.T) {
+// TestFleetOneShardMatchesLegacyFixture pins the 1-shard control plane
+// to the pre-sharding single broker: the deterministic Summary JSON must
+// match, byte for byte, the one that broker produced for this config
+// (testdata/one_shard_legacy_summary.json, recorded from it before it
+// was removed) — same DNS answers, same TLS bytes, same delivery, same
+// counters.
+func TestFleetOneShardMatchesLegacyFixture(t *testing.T) {
 	cfg := testConfig()
 	cfg.Lockstep = true
 	cfg.CloudShards = 1
 	cfg.SessionTTL = 30 * time.Second
 
-	sharded, err := Run(cfg)
+	r, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("sharded run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	legacy := cfg
-	legacy.legacyCloud = true
-	old, err := Run(legacy)
-	if err != nil {
-		t.Fatalf("legacy run: %v", err)
-	}
-
-	if sharded.Summary.Publishes == 0 {
+	if r.Summary.Publishes == 0 {
 		t.Error("no publishes — horizon too short for the workload?")
 	}
-	j1, j2 := summaryJSON(t, sharded.Summary), summaryJSON(t, old.Summary)
-	if !bytes.Equal(j1, j2) {
-		t.Errorf("1-shard plane diverges from the legacy broker:\n--- plane ---\n%s\n--- legacy ---\n%s", j1, j2)
+	want, err := os.ReadFile("testdata/one_shard_legacy_summary.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := append(summaryJSON(t, r.Summary), '\n')
+	if !bytes.Equal(got, want) {
+		t.Errorf("1-shard plane diverges from the legacy broker's summary:\n--- plane ---\n%s\n--- legacy ---\n%s", got, want)
 	}
 }
 

@@ -197,9 +197,6 @@ type Config struct {
 	// it), at a fraction of the per-device cost.
 	NoSnapshot bool
 
-	// legacyCloud selects the pre-sharding single-broker cloud; a
-	// package-internal hook for the 1-shard equivalence test.
-	legacyCloud bool
 	// snapCache is the per-run template cache behind snapshot/fork boot;
 	// set by Run, keyed by firmware shape alias (Profile.Firmware).
 	snapCache *snapshot.Cache
@@ -609,6 +606,11 @@ type Result struct {
 	// the fleet. It depends on host scheduling (worker count, timing),
 	// which is why it lives here and not in the Summary.
 	MaxInboxDepth int
+	// IndexProbes is how many topic-index entries the broker shards
+	// visited to route publishes, summed over shards: one per subscriber
+	// of each published topic, never the session table. Broker
+	// bookkeeping, kept out of the Summary.
+	IndexProbes int
 	// HostProf is the host-side wall-clock phase split — boot, step,
 	// pump, merge — per worker (nil unless Config.HostProf). Like the
 	// wall timings above it is host-dependent, so it stays out of the
@@ -770,7 +772,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// Final deterministic reap at the horizon: with every device stopped,
 	// dropping idle-beyond-TTL state is a pure function of the run.
-	cl.reapDead(horizon)
+	cl.ReapDead(horizon)
 
 	mergeStart := time.Now()
 	spans := collectSpans(devices)
@@ -780,6 +782,10 @@ func Run(cfg Config) (*Result, error) {
 		BootWall: bootWall,
 		RunWall:  runWall,
 		Spans:    spans,
+	}
+	for _, sh := range cl.Shards {
+		_, probes := sh.Broker.IndexStats()
+		res.IndexProbes += probes
 	}
 	if cfg.snapCache != nil {
 		stats := cfg.snapCache.Stats()
@@ -846,7 +852,7 @@ func runShard(devices []*Device, indices []int, horizon uint64) {
 // per-shard broker counters, the availability curve, and the merged
 // telemetry snapshot with the fleet-wide cycle-attribution invariant
 // check.
-func summarize(cfg Config, cl *Cloud, devices []*Device,
+func summarize(cfg Config, cl *cloud.Plane, devices []*Device,
 	sloRules []fleetobs.Rule, spans []fleetobs.Span, rollout *rolloutRuntime) Summary {
 	s := Summary{
 		Devices:        cfg.Devices,
@@ -986,7 +992,7 @@ func summarize(cfg Config, cl *Cloud, devices []*Device,
 	s.PublishP50Ms = cyclesToMs(percentile(publishLat, 0.50))
 	s.PublishP99Ms = cyclesToMs(percentile(publishLat, 0.99))
 
-	s.BrokerShards = cl.shardStats()
+	s.BrokerShards = cl.ShardStats()
 	// Stable shard order regardless of worker scheduling: the per-shard
 	// table (and everything derived from it, including the synthesized
 	// cloud telemetry) must not depend on how shard stats were gathered.
