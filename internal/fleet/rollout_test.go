@@ -208,3 +208,25 @@ func TestRolloutRejectsNoSnapshot(t *testing.T) {
 		t.Fatal("rollout over a jsvm profile did not error")
 	}
 }
+
+// TestRolloutSwapReconnectsFirstTry: a device swapped onto new firmware
+// reuses its old connection's address and ports (the replacement TCP/IP
+// compartment restarts its ephemeral ports), so the broker must treat
+// that SYN as a reboot and accept it. Every first connect after a swap
+// then succeeds, and no stale session is left for supersession to drop.
+func TestRolloutSwapReconnectsFirstTry(t *testing.T) {
+	res, err := Run(rolloutConfig(false, 45*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Summary
+	if s.Rollout == nil || s.Rollout.Terminal != ota.StateComplete || s.Rollout.Updated != s.Devices {
+		t.Fatalf("rollout did not complete: %+v", s.Rollout)
+	}
+	if s.ConnectFailures != 0 {
+		t.Errorf("%d failed connects across the rollout, want 0", s.ConnectFailures)
+	}
+	if s.BrokerSuperseded != 0 {
+		t.Errorf("%d broker sessions superseded, want 0 (stale pre-swap sessions)", s.BrokerSuperseded)
+	}
+}
