@@ -21,6 +21,17 @@ echo "ok"
 echo "== go test -race =="
 go test -race ./...
 
+echo "== fuzz the broker's inbound decoders =="
+# Each target runs briefly from its committed seed corpus
+# (internal/netproto/testdata/fuzz); a panic or a broken round trip
+# fails the check, and the crashing input is written to the corpus.
+# Minimizing is capped so that shrinking a new corpus entry cannot eat
+# the whole 10 s budget.
+for target in FuzzDecodeClientHello FuzzSessionOpen FuzzDecodeMQTT FuzzMQTTRoundTrip; do
+	go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 2s ./internal/netproto/
+done
+echo "ok"
+
 echo "== fleet smoke run =="
 go run ./cmd/cheriot-fleet -devices 16 -duration 200ms -seed 1 >/dev/null
 echo "ok"
