@@ -59,81 +59,141 @@ func networkImage() *firmware.Image {
 // whole-image code/data footprints of the base and networked systems.
 func BenchmarkTable2_CodeDataSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		base, err := core.Boot(baseImage())
-		if err != nil {
-			b.Fatal(err)
-		}
-		base.Shutdown()
-		net, err := core.Boot(networkImage())
-		if err != nil {
-			b.Fatal(err)
-		}
-		net.Shutdown()
-
-		baseF := base.Image.Measure()
-		netF := net.Image.Measure()
-		baseCode := baseF.CodeBytes + loader.CodeBytes + switcher.CodeBytes
-		netCode := netF.CodeBytes + loader.CodeBytes + switcher.CodeBytes
-		b.ReportMetric(float64(baseCode)/1024, "base-code-KB")
-		b.ReportMetric(float64(netCode)/1024, "net-code-KB")
+		t2 := table2Sizes(b)
+		b.ReportMetric(float64(t2.BaseCode)/1024, "base-code-KB")
+		b.ReportMetric(float64(t2.NetCode)/1024, "net-code-KB")
 
 		if i > 0 {
 			continue
 		}
 		out := "\nTable 2 — code and data size (paper values in parens):\n"
 		out += fmt.Sprintf("  Base system       code %6.1f KB (25.9)  data %6.1f KB (3.7)\n",
-			float64(baseCode)/1024, float64(baseF.DataBytes)/1024)
+			float64(t2.BaseCode)/1024, float64(t2.BaseData)/1024)
 		out += fmt.Sprintf("    Loader          code %6.1f KB (7.5, erased after boot)\n",
 			float64(loader.CodeBytes)/1024)
 		out += fmt.Sprintf("    Switcher        code %6.1f KB (1.4)\n", float64(switcher.CodeBytes)/1024)
-		for _, name := range []string{"alloc", "sched", "token"} {
-			c := base.Image.Compartment(name)
+		for _, c := range t2.Components[:3] {
 			out += fmt.Sprintf("    %-15s code %6.1f KB          data %5d B\n",
-				c.Name, float64(c.CodeSize)/1024, c.DataSize)
+				c.Name, float64(c.Code)/1024, c.Data)
 		}
 		out += fmt.Sprintf("  Base + net stack  code %6.1f KB (151.8) data %6.1f KB (20.4)\n",
-			float64(netCode)/1024, float64(netF.DataBytes)/1024)
-		for _, name := range []string{
-			netstack.Firewall, netstack.TCPIP, netstack.NetAPI, netstack.DNS,
-			netstack.SNTP, netstack.TLS, netstack.MQTT,
-		} {
-			c := net.Image.Compartment(name)
+			float64(t2.NetCode)/1024, float64(t2.NetData)/1024)
+		for _, c := range t2.Components[3:] {
 			wrapper := 0.0
-			if c.CodeSize > 0 {
-				wrapper = 100 * float64(c.WrapperCodeSize) / float64(c.CodeSize)
+			if c.Code > 0 {
+				wrapper = 100 * float64(c.WrapperCode) / float64(c.Code)
 			}
 			out += fmt.Sprintf("    %-15s code %6.1f KB  wrapper %4.0f%%  data %5d B\n",
-				c.Name, float64(c.CodeSize)/1024, wrapper, c.DataSize)
+				c.Name, float64(c.Code)/1024, wrapper, c.Data)
 		}
 		out += fmt.Sprintf("    stacks %.1f KB, trusted stacks %.2f KB, metadata %.1f KB\n",
-			float64(netF.StackBytes)/1024, float64(netF.TrustedStackBytes)/1024,
-			float64(netF.MetadataBytes)/1024)
+			float64(t2.StackBytes)/1024, float64(t2.TrustedStackBytes)/1024,
+			float64(t2.MetadataBytes)/1024)
 		out += fmt.Sprintf("  Per-compartment overhead: %d B (paper: 83 B)\n",
 			firmware.CompartmentOverheadBytes)
 		printOnce("table2", out)
 	}
 }
 
+// table2 holds the Table 2 footprints in bytes: whole-image code (with
+// the loader and switcher) and data of the base and networked systems,
+// the networked system's stack/trusted-stack/metadata split, and the
+// per-component sizes (base TCB compartments first, then the network
+// stack).
+type table2 struct {
+	BaseCode          uint32          `json:"base_code"`
+	BaseData          uint32          `json:"base_data"`
+	NetCode           uint32          `json:"net_code"`
+	NetData           uint32          `json:"net_data"`
+	StackBytes        uint32          `json:"stack_bytes"`
+	TrustedStackBytes uint32          `json:"trusted_stack_bytes"`
+	MetadataBytes     uint32          `json:"metadata_bytes"`
+	Components        []componentSize `json:"components"`
+}
+
+type componentSize struct {
+	Name        string `json:"name"`
+	Code        uint32 `json:"code"`
+	WrapperCode uint32 `json:"wrapper_code"`
+	Data        uint32 `json:"data"`
+}
+
+// table2Sizes boots the base and networked systems and measures them.
+func table2Sizes(tb testing.TB) table2 {
+	base, err := core.Boot(baseImage())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base.Shutdown()
+	net, err := core.Boot(networkImage())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net.Shutdown()
+
+	baseF := base.Image.Measure()
+	netF := net.Image.Measure()
+	t2 := table2{
+		BaseCode:          baseF.CodeBytes + loader.CodeBytes + switcher.CodeBytes,
+		BaseData:          baseF.DataBytes,
+		NetCode:           netF.CodeBytes + loader.CodeBytes + switcher.CodeBytes,
+		NetData:           netF.DataBytes,
+		StackBytes:        netF.StackBytes,
+		TrustedStackBytes: netF.TrustedStackBytes,
+		MetadataBytes:     netF.MetadataBytes,
+	}
+	add := func(img *firmware.Image, names ...string) {
+		for _, name := range names {
+			c := img.Compartment(name)
+			t2.Components = append(t2.Components, componentSize{Name: c.Name,
+				Code: c.CodeSize, WrapperCode: c.WrapperCodeSize, Data: c.DataSize})
+		}
+	}
+	add(base.Image, "alloc", "sched", "token")
+	add(net.Image, netstack.Firewall, netstack.TCPIP, netstack.NetAPI, netstack.DNS,
+		netstack.SNTP, netstack.TLS, netstack.MQTT)
+	return t2
+}
+
 // BenchmarkTable3_CoreAPILatencies regenerates Table 3: average latencies
 // of the core RTOS APIs, in simulated cycles.
 func BenchmarkTable3_CoreAPILatencies(b *testing.B) {
-	type row struct {
-		name   string
-		paper  float64
-		cycles float64
+	reps := b.N
+	if reps < 16 {
+		reps = 16
 	}
-	var rows []row
+	rows := table3Rows(b, reps, nil)
+	out := "\nTable 3 — core API latencies (simulated cycles, paper in parens):\n"
+	for _, r := range rows {
+		out += fmt.Sprintf("  %-32s %8.1f  (%.1f)\n", r.Name, r.Cycles, r.Paper)
+	}
+	printOnce("table3", out)
+	for _, r := range rows {
+		if r.Name == "Unseal an object" {
+			b.ReportMetric(r.Cycles, "simcycles/unseal")
+		}
+	}
+}
+
+// table3Row is one Table 3 latency: the measured mean in simulated
+// cycles next to the paper's value.
+type table3Row struct {
+	Name   string  `json:"name"`
+	Paper  float64 `json:"paper"`
+	Cycles float64 `json:"cycles"`
+}
+
+// table3Rows measures every Table 3 row as the mean over reps
+// repetitions.
+func table3Rows(tb testing.TB, reps int, arm func(*core.System)) []table3Row {
+	var rows []table3Row
 	measured := func(name string, paper float64, total uint64, n int) {
-		rows = append(rows, row{name, paper, float64(total) / float64(n)})
+		rows = append(rows, table3Row{name, paper, float64(total) / float64(n)})
 	}
 
 	img := core.NewImage("table3")
 	token.AddLibTo(img)
 	libs.AddCheckTo(img)
-	reps := b.N
-	if reps < 16 {
-		reps = 16
-	}
 
 	// A victim compartment for the error-handling rows.
 	handlerRan := 0
@@ -187,7 +247,7 @@ func BenchmarkTable3_CoreAPILatencies(b *testing.B) {
 					total += stopwatch(func() {
 						rets := ctx.LibCall(token.LibName, token.FnUnsealFast, api.C(key), api.C(sobj))
 						if api.ErrnoOf(rets) != api.OK {
-							b.Error("unseal failed")
+							tb.Error("unseal failed")
 						}
 					})
 				}
@@ -237,10 +297,10 @@ func BenchmarkTable3_CoreAPILatencies(b *testing.B) {
 				for i := 0; i < reps; i++ {
 					total += stopwatch(func() {
 						if cl.Claim(ctx, obj) != api.OK {
-							b.Error("claim failed")
+							tb.Error("claim failed")
 						}
 						if cl.Free(ctx, obj) != api.OK {
-							b.Error("unclaim failed")
+							tb.Error("unclaim failed")
 						}
 					})
 				}
@@ -278,21 +338,11 @@ func BenchmarkTable3_CoreAPILatencies(b *testing.B) {
 	})
 	img.AddThread(&firmware.Thread{Name: "t", Compartment: "bench", Entry: "main",
 		Priority: 1, StackSize: 16 * 1024, TrustedStackFrames: 16})
-	bootBench(b, img)
+	runImage(tb, img, arm)
 	if handlerRan == 0 {
-		b.Fatal("handler never ran")
+		tb.Fatal("handler never ran")
 	}
-
-	out := "\nTable 3 — core API latencies (simulated cycles, paper in parens):\n"
-	for _, r := range rows {
-		out += fmt.Sprintf("  %-32s %8.1f  (%.1f)\n", r.name, r.cycles, r.paper)
-	}
-	printOnce("table3", out)
-	for _, r := range rows {
-		if r.name == "Unseal an object" {
-			b.ReportMetric(r.cycles, "simcycles/unseal")
-		}
-	}
+	return rows
 }
 
 // BenchmarkTable4_Comparison prints the qualitative design-aspect matrix
