@@ -144,7 +144,7 @@ func (s *System) Telemetry() *telemetry.Registry { return s.Kernel.Telemetry() }
 // the profiler.
 func (s *System) EnableProfiler() *prof.Profiler {
 	clock := s.Board.Core.Clock
-	p := prof.New(clock.Hz(), clock.Cycles)
+	p := prof.New(clock.Hz(), clock.Cycles())
 	s.Kernel.EnableProfiler(p)
 	return p
 }

@@ -15,20 +15,13 @@ import "time"
 // clocked at 33 MHz (§5.3).
 const DefaultHz = 33_000_000
 
-// Clock is the deterministic cycle counter of the simulated core.
-//
-// For the telemetry layer it carries two optional attribution slots: raw
-// cells that every Advance also adds into. The switcher installs the
-// running compartment's (and thread's) cell at each domain transition, so
-// all simulated time is attributed at the single point it is created —
-// per-domain sums match the clock total exactly. With no slots installed
-// (telemetry disabled) the cost is two nil checks per Advance.
+// Clock is the deterministic cycle counter of the simulated core. It only
+// counts: attributing cycles to compartments, threads and profile frames
+// is the switcher's job, done at domain transitions from the difference
+// between two readings (see the switcher's probe).
 type Clock struct {
 	cycles uint64
 	hz     uint64
-
-	acctComp   *uint64
-	acctThread *uint64
 }
 
 // NewClock returns a clock at cycle zero ticking at hz.
@@ -45,34 +38,8 @@ func (c *Clock) Cycles() uint64 { return c.cycles }
 // Hz returns the clock frequency.
 func (c *Clock) Hz() uint64 { return c.hz }
 
-// Advance moves the clock forward by n cycles, charging any installed
-// attribution slots.
-func (c *Clock) Advance(n uint64) {
-	c.cycles += n
-	if c.acctComp != nil {
-		*c.acctComp += n
-	}
-	if c.acctThread != nil {
-		*c.acctThread += n
-	}
-}
-
-// SetCompAccount installs the compartment-attribution cell (nil to detach)
-// and returns the previously-installed one, so callers can save/restore
-// around a domain transition.
-func (c *Clock) SetCompAccount(cell *uint64) *uint64 {
-	prev := c.acctComp
-	c.acctComp = cell
-	return prev
-}
-
-// SetThreadAccount installs the thread-attribution cell (nil to detach)
-// and returns the previous one.
-func (c *Clock) SetThreadAccount(cell *uint64) *uint64 {
-	prev := c.acctThread
-	c.acctThread = cell
-	return prev
-}
+// Advance moves the clock forward by n cycles.
+func (c *Clock) Advance(n uint64) { c.cycles += n }
 
 // Elapsed converts the current cycle count to wall-clock time at the
 // simulated frequency.

@@ -1,11 +1,12 @@
-// Package prof is the cycle-exact compartment profiler: it reconstructs
-// cross-compartment call stacks from the switcher's call/return/unwind
-// path and attributes every simulated cycle to exactly one stack frame,
-// preserving the telemetry layer's sum-to-clock invariant (the total of
-// all frame self-cycles equals the clock delta since the profiler was
-// armed). A second, host-side view (HostProfile) times the fleet
-// runner's real wall-clock cost centers — device boot, the step loop,
-// netsim inbox pumping, result merging — per worker.
+// Package prof is the cycle-exact compartment profiler. The switcher's
+// probe moves its current frame at every domain transition and charges
+// it the cycles since the previous transition — the same stamp the
+// telemetry accounts are charged from — so every simulated cycle lands
+// in exactly one cross-compartment stack frame, and the frame
+// self-cycles sum to the clock delta since the profiler was armed. A
+// second, host-side view (HostProfile) times the fleet runner's real
+// wall-clock cost centers — device boot, the step loop, result merging —
+// per worker.
 //
 // Everything here is deterministic: a Profile is a pure function of the
 // simulated execution, so lockstep and parallel fleet runs merge to
@@ -14,13 +15,15 @@
 // instrumented hot paths pay only a nil check when profiling is off.
 package prof
 
-// Pseudo-domain labels for cycles spent outside any compartment. They
-// deliberately mirror the telemetry package's domain constants (prof is
-// a leaf package and must not import it).
+import "github.com/cheriot-go/cheriot/internal/telemetry"
+
+// Root-level pseudo-domain frames for cycles spent outside any
+// compartment carry the telemetry account names, so a profile and a
+// telemetry snapshot of the same run name them alike.
 const (
-	DomainSwitcher = "<switcher>"
-	DomainSched    = "<sched>"
-	DomainIdle     = "<idle>"
+	DomainSwitcher = telemetry.DomainSwitcher
+	DomainSched    = telemetry.DomainSched
+	DomainIdle     = telemetry.DomainIdle
 )
 
 // node is one frame in the profile trie. The root is unnamed and holds
@@ -65,34 +68,29 @@ type threadState struct {
 	stack []*node
 }
 
-// SysRef is a resolved handle to a root-level pseudo-domain frame,
-// letting the kernel's tick path charge it without a map lookup per
-// tick. The zero SysRef is inert.
-type SysRef struct{ n *node }
-
 // Profiler reconstructs and accumulates the call-stack profile of one
-// simulated machine. It is driven by the switcher: Push/Pop/PopTo on
-// compartment transitions (thread goroutine), Activate/System on
-// dispatch transitions (kernel goroutine). The two goroutines alternate
+// simulated machine. It never reads a clock: the switcher's probe moves
+// the current frame at every transition (Push/Swap/Pop/PopTo on
+// compartment transitions from the thread goroutine, Activate/System on
+// dispatch transitions from the kernel goroutine) and charges the cycles
+// between two transitions with Charge. The two goroutines alternate
 // strictly via the kernel's channel handoff, so no locking is needed —
 // the same single-writer discipline the telemetry accounts rely on.
 type Profiler struct {
-	hz   uint64
-	now  func() uint64
-	base uint64
-	last uint64
+	hz    uint64
+	base  uint64
+	total uint64
 
 	root    node
-	cur     *node          // frame charged for cycles since last; nil attributes nowhere
+	cur     *node          // frame Charge adds to; nil attributes nowhere
 	threads []*threadState // indexed by thread ID (IDs are small and dense)
 }
 
-// New arms a profiler on a cycle clock. Cycles begin accumulating
-// immediately; point the current frame somewhere (System or Activate)
-// before the clock next advances or they are dropped.
-func New(hz uint64, now func() uint64) *Profiler {
-	t := now()
-	return &Profiler{hz: hz, now: now, base: t, last: t}
+// New arms a profiler whose first charged cycle follows clock cycle
+// base. Point the current frame somewhere (System or Activate) before
+// the first Charge or those cycles attribute nowhere.
+func New(hz, base uint64) *Profiler {
+	return &Profiler{hz: hz, base: base}
 }
 
 // thread returns the thread's state, nil when out of range or
@@ -104,15 +102,17 @@ func (p *Profiler) thread(tid int) *threadState {
 	return p.threads[tid]
 }
 
-// stamp attributes the cycles elapsed since the previous transition to
-// the current frame. Called on every transition, it is what makes the
-// profile exact: every cycle lands in precisely one node.
-func (p *Profiler) stamp() {
-	t := p.now()
-	if p.cur != nil {
-		p.cur.self += t - p.last
+// Charge attributes n cycles to the current frame: the probe calls it
+// with the cycles elapsed since the previous transition, so every cycle
+// lands in exactly one node. Nil-safe.
+func (p *Profiler) Charge(n uint64) {
+	if p == nil {
+		return
 	}
-	p.last = t
+	p.total += n
+	if p.cur != nil {
+		p.cur.self += n
+	}
 }
 
 // RegisterThread creates the thread's root frame. Idempotent; nil-safe.
@@ -140,7 +140,6 @@ func (p *Profiler) Push(tid int, label string) {
 	if ts == nil {
 		return
 	}
-	p.stamp()
 	n := ts.stack[len(ts.stack)-1].child(label)
 	n.calls++
 	ts.stack = append(ts.stack, n)
@@ -148,10 +147,10 @@ func (p *Profiler) Push(tid int, label string) {
 }
 
 // Swap replaces the thread's top frame with a sibling — Pop followed by
-// Push fused into one transition with a single stamp. The switcher uses
-// it at call boundaries where its overlay frame hands off directly to
-// the callee frame (and back) with no cycles in between. The thread
-// root is never swapped out. Nil-safe.
+// Push fused into one transition. The switcher uses it at call
+// boundaries where its overlay frame hands off directly to the callee
+// frame (and back) with no cycles in between. The thread root is never
+// swapped out. Nil-safe.
 func (p *Profiler) Swap(tid int, label string) {
 	if p == nil {
 		return
@@ -164,7 +163,6 @@ func (p *Profiler) Swap(tid int, label string) {
 		p.Push(tid, label)
 		return
 	}
-	p.stamp()
 	n := ts.stack[len(ts.stack)-2].child(label)
 	n.calls++
 	ts.stack[len(ts.stack)-1] = n
@@ -181,31 +179,17 @@ func (p *Profiler) Pop(tid int) {
 	if ts == nil || len(ts.stack) <= 1 {
 		return
 	}
-	p.stamp()
 	ts.stack = ts.stack[:len(ts.stack)-1]
 	p.cur = ts.stack[len(ts.stack)-1]
 }
 
-// Depth returns the thread's current stack depth (0 when nil or
-// unregistered). The switcher snapshots it on entry so a trap panic
-// that escapes nested calls can be repaired with PopTo.
-func (p *Profiler) Depth(tid int) int {
-	if p == nil {
-		return 0
-	}
-	ts := p.thread(tid)
-	if ts == nil {
-		return 0
-	}
-	return len(ts.stack)
-}
-
-// PopTo truncates the thread's stack back to depth: the unwind repair
+// PopTo truncates the thread's stack back to depth (the thread root
+// counts as 1) and makes the new top current: the unwind repair
 // primitive. A trap panic can escape a nested compartment call from the
 // middle of the switcher's transition sequence (e.g. stack zeroing
-// faulting), leaving stray frames; the enclosing error path restores the
-// depth it recorded. Cycles since the last transition are stamped into
-// the abandoned top first, so nothing is lost. Nil-safe.
+// faulting), leaving stray frames; the enclosing error path restores
+// the depth of its own frame. A depth at or past the current one is a
+// no-op. Nil-safe.
 func (p *Profiler) PopTo(tid int, depth int) {
 	if p == nil {
 		return
@@ -214,80 +198,27 @@ func (p *Profiler) PopTo(tid int, depth int) {
 	if ts == nil || depth < 1 || len(ts.stack) <= depth {
 		return
 	}
-	p.stamp()
 	ts.stack = ts.stack[:depth]
 	p.cur = ts.stack[len(ts.stack)-1]
 }
 
 // Activate makes the thread's top frame current: the kernel calls it
-// when dispatching the thread, mirroring the telemetry account install.
-// Nil-safe.
+// when dispatching the thread. Nil-safe.
 func (p *Profiler) Activate(tid int) {
 	if p == nil {
 		return
 	}
-	ts := p.thread(tid)
-	if ts == nil {
-		return
+	if ts := p.thread(tid); ts != nil {
+		p.cur = ts.stack[len(ts.stack)-1]
 	}
-	p.stamp()
-	p.cur = ts.stack[len(ts.stack)-1]
 }
 
-// System makes a root-level pseudo-domain frame current ("<switcher>",
-// "<sched>", "<idle>"): cycles spent outside any thread's compartment
-// stack. Nil-safe.
+// System makes a root-level pseudo-domain frame current (the switcher
+// passes telemetry's "<switcher>", "<sched>" and "<idle>" domain names):
+// cycles spent outside any thread's compartment stack. Nil-safe.
 func (p *Profiler) System(label string) {
 	if p == nil {
 		return
 	}
-	p.stamp()
 	p.cur = p.root.child(label)
-}
-
-// SystemRef is System with a pre-resolved pseudo-domain frame: the
-// kernel loop re-enters the switcher domain on every yield, so the
-// per-transition map lookup is paid once at SysFrame time instead.
-// Nil-safe.
-func (p *Profiler) SystemRef(r SysRef) {
-	if p == nil {
-		return
-	}
-	p.stamp()
-	p.cur = r.n
-}
-
-// SysFrame resolves a root-level pseudo-domain once, for hot paths that
-// charge it per tick via ChargeSys. Nil-safe: a nil profiler returns
-// the inert zero SysRef.
-func (p *Profiler) SysFrame(label string) SysRef {
-	if p == nil {
-		return SysRef{}
-	}
-	return SysRef{n: p.root.child(label)}
-}
-
-// ChargeSys attributes exactly n of the cycles elapsed since the last
-// transition to the pseudo-domain and the remainder to the current
-// frame, without changing it — the single-stamp equivalent of
-// System(dom); Tick(n); System(previous). The kernel's tick path calls
-// it after advancing the clock by n. Nil-safe.
-func (p *Profiler) ChargeSys(r SysRef, n uint64) {
-	if p == nil {
-		return
-	}
-	t := p.now()
-	if p.cur != nil {
-		p.cur.self += t - p.last - n
-	}
-	r.n.self += n
-	p.last = t
-}
-
-// Hz returns the profiled clock's frequency.
-func (p *Profiler) Hz() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.hz
 }

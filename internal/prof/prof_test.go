@@ -9,41 +9,33 @@ import (
 	"time"
 )
 
-// fakeClock drives the profiler deterministically in tests.
-type fakeClock struct{ c uint64 }
-
-func (f *fakeClock) now() uint64   { return f.c }
-func (f *fakeClock) tick(n uint64) { f.c += n }
-func newProf(f *fakeClock) *Profiler {
-	return New(33_000_000, f.now)
-}
+func newProf(base uint64) *Profiler { return New(33_000_000, base) }
 
 // The exactness invariant: every cycle between New and Snapshot lands
 // in exactly one frame, whatever the transition sequence.
 func TestSumToClockInvariant(t *testing.T) {
-	clk := &fakeClock{c: 1000}
-	p := newProf(clk)
+	p := newProf(1000)
 	p.RegisterThread(1, "app")
 	p.System(DomainSwitcher)
-	clk.tick(10) // switcher
+	p.Charge(10) // switcher
 	p.Push(1, DomainSwitcher)
-	clk.tick(5) // call overlay
+	p.Charge(5) // call overlay
 	p.Pop(1)
 	p.Push(1, "comp.a")
-	clk.tick(100) // in a
+	p.Charge(100) // in a
 	p.Push(1, DomainSwitcher)
-	clk.tick(7) // nested call overlay
+	p.Charge(7) // nested call overlay
 	p.Pop(1)
 	p.Push(1, "comp.b")
-	clk.tick(50) // in b
+	p.Charge(50) // in b
 	p.Pop(1)
 	p.Push(1, DomainSwitcher)
-	clk.tick(3) // return zeroing
+	p.Charge(3) // return zeroing
 	p.Pop(1)
-	clk.tick(25) // back in a
+	p.Charge(25) // back in a
 	p.Pop(1)
 	p.System(DomainIdle)
-	clk.tick(40) // idle
+	p.Charge(40) // idle
 
 	pr := p.Snapshot()
 	if pr.BaseCycles != 1000 {
@@ -79,24 +71,28 @@ func TestSumToClockInvariant(t *testing.T) {
 	}
 }
 
-// PopTo repairs a stack after a trap panic escaped mid-transition,
-// attributing the in-flight cycles to the abandoned frame first.
+// PopTo repairs a stack after a trap panic escaped mid-transition;
+// the in-flight cycles were already charged to the abandoned frame.
 func TestPopToTruncates(t *testing.T) {
-	clk := &fakeClock{}
-	p := newProf(clk)
+	p := newProf(0)
 	p.RegisterThread(1, "app")
 	p.Push(1, "comp.a")
-	depth := p.Depth(1) // 2: root + a
-	clk.tick(10)
+	const depth = 2 // root + a
+	p.Charge(10)
 	// Nested call gets as far as the switcher overlay and a callee frame,
 	// then the callee's zeroing faults and the panic escapes.
 	p.Push(1, DomainSwitcher)
-	clk.tick(4)
+	p.Charge(4)
 	p.Push(1, "comp.b")
-	clk.tick(6)
+	p.Charge(6)
 	p.PopTo(1, depth)
-	clk.tick(20)
+	p.Charge(20)
 	p.Pop(1)
+	// PopTo to a depth >= current, or below the root, is a no-op: the
+	// thread root stays current.
+	p.PopTo(1, 99)
+	p.PopTo(1, 0)
+	p.Charge(1)
 
 	pr := p.Snapshot()
 	if pr.SelfSum() != pr.TotalCycles {
@@ -112,14 +108,8 @@ func TestPopToTruncates(t *testing.T) {
 	if self["app;comp.a;"+DomainSwitcher+";comp.b"] != 6 {
 		t.Errorf("abandoned callee self = %d, want 6", self["app;comp.a;"+DomainSwitcher+";comp.b"])
 	}
-	if p.Depth(1) != 1 {
-		t.Errorf("depth = %d, want 1 (thread root)", p.Depth(1))
-	}
-	// PopTo to a depth >= current is a no-op.
-	p.PopTo(1, 99)
-	p.PopTo(1, 0)
-	if p.Depth(1) != 1 {
-		t.Errorf("PopTo moved a short stack: depth %d", p.Depth(1))
+	if self["app"] != 1 {
+		t.Errorf("thread root self = %d, want 1 (PopTo moved a short stack)", self["app"])
 	}
 }
 
@@ -129,14 +119,14 @@ func TestNilProfilerZeroAlloc(t *testing.T) {
 	var p *Profiler
 	allocs := testing.AllocsPerRun(100, func() {
 		p.Push(1, "x")
+		p.Swap(1, "y")
+		p.Charge(1)
 		p.Pop(1)
 		p.PopTo(1, 0)
 		p.Activate(1)
 		p.System(DomainSwitcher)
 		p.RegisterThread(1, "t")
-		_ = p.Depth(1)
 		_ = p.Snapshot()
-		_ = p.Hz()
 	})
 	if allocs != 0 {
 		t.Errorf("nil profiler allocated %.1f per run, want 0", allocs)
@@ -147,13 +137,12 @@ func TestNilProfilerZeroAlloc(t *testing.T) {
 // byte-identity root.
 func TestMergeDeterministic(t *testing.T) {
 	mk := func(seed uint64) *Profile {
-		clk := &fakeClock{c: seed}
-		p := newProf(clk)
+		p := newProf(seed)
 		p.RegisterThread(1, "app")
 		p.Push(1, "comp.a")
-		clk.tick(10 * (seed + 1))
+		p.Charge(10 * (seed + 1))
 		p.Push(1, "comp.b")
-		clk.tick(seed)
+		p.Charge(seed)
 		p.Pop(1)
 		p.Pop(1)
 		return p.Snapshot()
@@ -180,13 +169,12 @@ func TestMergeDeterministic(t *testing.T) {
 // The folded export carries every non-zero frame, sorted, and the JSON
 // round-trips.
 func TestExports(t *testing.T) {
-	clk := &fakeClock{}
-	p := newProf(clk)
+	p := newProf(0)
 	p.RegisterThread(1, "app")
 	p.Push(1, "comp.a")
-	clk.tick(70)
+	p.Charge(70)
 	p.Push(1, "comp.b")
-	clk.tick(30)
+	p.Charge(30)
 	p.Pop(1)
 	p.Pop(1)
 	pr := p.Snapshot()

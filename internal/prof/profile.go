@@ -31,16 +31,16 @@ type Profile struct {
 	Frames      []Frame `json:"frames"`
 }
 
-// Snapshot freezes the profiler into a Profile: cycles since the last
-// transition are stamped first, then every node (including zero-cost
-// interior nodes, so the tree is reconstructible) is emitted in sorted
-// order. Nil-safe (returns nil).
+// Snapshot freezes the profiler into a Profile: every node (including
+// zero-cost interior nodes, so the tree is reconstructible) is emitted
+// in sorted order. It reports the cycles charged so far; the kernel
+// charges them up to the clock whenever Run returns. Nil-safe (returns
+// nil).
 func (p *Profiler) Snapshot() *Profile {
 	if p == nil {
 		return nil
 	}
-	p.stamp()
-	pr := &Profile{Hz: p.hz, BaseCycles: p.base, TotalCycles: p.last - p.base}
+	pr := &Profile{Hz: p.hz, BaseCycles: p.base, TotalCycles: p.total}
 	var walk func(n *node, prefix string)
 	walk = func(n *node, prefix string) {
 		labels := make([]string, 0, len(n.children))

@@ -6,9 +6,7 @@ import (
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
-	"github.com/cheriot-go/cheriot/internal/flightrec"
 	"github.com/cheriot-go/cheriot/internal/hw"
-	"github.com/cheriot-go/cheriot/internal/prof"
 )
 
 // Fault is the error a compartment call returns when the callee trapped
@@ -69,27 +67,11 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 	}
 
 	k.compCallCount++
-	k.ctrCalls.Inc()
 	// Everything the switcher does on the transition — validation already
 	// done above (it never ticks), the base call cost, and stack zeroing on
-	// both paths — is attributed to the "<switcher>" pseudo-domain; the
-	// callee's account is installed only while its entry runs.
-	telOn := k.tel != nil
-	var prevAcct *uint64
-	if telOn {
-		prevAcct = k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
-	}
-	// The profiler mirrors the account choreography with a "<switcher>"
-	// overlay frame on the caller's stack for the transition work.
-	k.prof.Push(t.ID, prof.DomainSwitcher)
-	k.Core.Tick(hw.CallBaseCycles)
-	callerName := ""
-	if caller != nil {
-		callerName = caller.Name()
-	}
-	k.record(TraceEvent{Kind: TraceCall, Thread: t.Name,
-		From: callerName, To: target, Entry: entry})
-	k.rec.Call(t.Name, callerName, target, entry, recPosture(exp.Posture))
+	// both paths — is the "<switcher>" pseudo-domain's; the callee's
+	// account is current only while its entry runs.
+	k.onCall(t, caller, callee, entry, exp.Posture)
 
 	// Ephemeral claims last until the thread's next compartment call
 	// (§3.2.5).
@@ -126,19 +108,9 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 	}
 	t.frames = append(t.frames, fr)
 
-	if telOn && callee.acct != nil {
-		k.Core.Clock.SetCompAccount(callee.acct.Slot())
-	}
-	if k.prof != nil {
-		// Swap the overlay for the callee's frame while its entry runs.
-		k.prof.Swap(t.ID, k.profLabel(callee, exp))
-	}
+	k.onEnter(t, callee, exp)
 	rets, fault := k.runEntry(t, callee, exp, args)
-	if telOn {
-		k.Core.Clock.SetCompAccount(k.telSwitcher.Slot())
-	}
-	// Back to the overlay for the return-path zeroing.
-	k.prof.Swap(t.ID, prof.DomainSwitcher)
+	k.onExit(t)
 
 	// Return path: scrub callee secrets, pop the trusted-stack frame,
 	// restore the caller's stack pointer and interrupt posture.
@@ -160,40 +132,18 @@ func (k *Kernel) compartmentCall(t *Thread, caller *Comp, target, entry string, 
 		delete(t.evict, target) // the eviction completed
 	}
 
-	if telOn {
-		k.Core.Clock.SetCompAccount(prevAcct)
-	}
-	k.prof.Pop(t.ID)
+	k.onReturn(t, caller, callee, entry, fault != nil)
 	if fault != nil {
-		k.ctrUnwinds.Inc()
-		k.record(TraceEvent{Kind: TraceUnwind, Thread: t.Name, To: target})
-		k.rec.Unwind(t.Name, target)
 		return nil, &Fault{Trap: fault, Compartment: target}
 	}
-	k.record(TraceEvent{Kind: TraceReturn, Thread: t.Name,
-		From: callerName, To: target, Entry: entry})
-	k.rec.Return(t.Name, callerName, target, entry)
 	return rets, nil
-}
-
-// recPosture maps a firmware interrupt posture to the flight recorder's
-// wire codes.
-func recPosture(p firmware.Posture) uint64 {
-	switch p {
-	case firmware.PostureDisabled:
-		return flightrec.PostureDisabled
-	case firmware.PostureEnabled:
-		return flightrec.PostureEnabled
-	default:
-		return flightrec.PostureInherit
-	}
 }
 
 // runEntry invokes the entry function, converting trap panics into error
 // handling per the compartment's policy (§3.2.6).
 func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []api.Value) (rets []api.Value, fault *hw.Trap) {
 	const maxRetries = 1
-	profDepth := k.prof.Depth(t.ID)
+	depth := len(t.frames)
 	for attempt := 0; ; attempt++ {
 		fault = nil
 		rets = nil
@@ -213,25 +163,7 @@ func (k *Kernel) runEntry(t *Thread, callee *Comp, exp *firmware.Export, args []
 		if fault == nil {
 			return rets, nil
 		}
-		if k.tel != nil && callee.acct != nil {
-			// The panic may have unwound past a nested transition that left
-			// the clock pointing elsewhere; fault handling — handler runs
-			// and unwind cost — is charged to the faulting compartment.
-			k.Core.Clock.SetCompAccount(callee.acct.Slot())
-		}
-		// Likewise the panic may have abandoned profiler frames mid-
-		// transition; truncate back to this entry's own frame.
-		k.prof.PopTo(t.ID, profDepth)
-		k.ctrTraps.Inc()
-		k.record(TraceEvent{Kind: TraceTrap, Thread: t.Name,
-			To: callee.Name(), Detail: fault.Code.String()})
-		if fault.Code != hw.TrapForcedUnwind {
-			// Snapshot the black box into a post-mortem report: the
-			// forced-unwind case is the switcher evicting the thread, not a
-			// capability fault, so it gets no report of its own.
-			k.rec.Fault(t.Name, callee.Name(), exp.Name, fault.Addr,
-				fault.Code.String(), fault.Detail, fault.Cap)
-		}
+		k.onTrap(t, callee, exp, depth, fault)
 		// A forced unwind (micro-reboot) always tears the thread out; the
 		// handler must not intercept it.
 		if fault.Code == hw.TrapForcedUnwind {

@@ -41,8 +41,8 @@ type Comp struct {
 	globalsSnapshot []byte
 
 	// acct is the compartment's telemetry cycle account (nil when telemetry
-	// is disabled); the switcher installs it in the clock whenever this
-	// compartment is on top of the running thread's trusted stack.
+	// is disabled); the probe charges it while this compartment is on top
+	// of the running thread's trusted stack.
 	acct *telemetry.CycleAccount
 }
 

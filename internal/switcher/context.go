@@ -55,11 +55,11 @@ func (c *ctx) Compartment() string { return c.comp.Name() }
 // Telemetry implements api.Context. All registry handles are nil-safe, so
 // compartment code instruments unconditionally and pays one nil check when
 // telemetry is disabled.
-func (c *ctx) Telemetry() *telemetry.Registry { return c.k.tel }
+func (c *ctx) Telemetry() *telemetry.Registry { return c.k.Telemetry() }
 
 // FlightRecorder implements api.Context. The recorder's methods are
 // nil-safe, so compartment code records unconditionally.
-func (c *ctx) FlightRecorder() *flightrec.Recorder { return c.k.rec }
+func (c *ctx) FlightRecorder() *flightrec.Recorder { return c.k.FlightRecorder() }
 
 // Caller implements api.Context, reading the trusted stack.
 func (c *ctx) Caller() string {
@@ -213,7 +213,7 @@ func (c *ctx) StackAlloc(n uint32) cap.Capability {
 	at := c.t.stackCap.WithAddress(base)
 	buf, err := at.SetBounds(n)
 	c.trapIf(err, at)
-	if rec := c.k.rec; rec.Enabled() {
+	if rec := c.k.FlightRecorder(); rec.Enabled() {
 		if c.t.stackNode == 0 {
 			c.t.stackNode = rec.Root(c.comp.Name(),
 				c.t.stack.Base, c.t.stack.Top(), "stack "+c.t.Name)

@@ -128,7 +128,8 @@ type Thread struct {
 	evict map[string]bool
 
 	// acct is the thread's telemetry cycle account (nil when telemetry is
-	// disabled); the switcher installs it in the clock at dispatch.
+	// disabled); the probe charges it from the thread's dispatch to the
+	// next dispatch, idle time excepted.
 	acct *telemetry.CycleAccount
 
 	// Scheduling fields owned by the scheduler policy.

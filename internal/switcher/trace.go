@@ -27,44 +27,34 @@ const (
 type TraceEvent = telemetry.Event
 
 // EnableTrace starts recording up to capacity kernel events in a ring
-// buffer, resetting any previous ring (events and drop count start over).
-// Tracing is a debug utility: it costs nothing when disabled and never
-// affects simulated time.
+// buffer, resetting any previous ring (events and drop count start over);
+// capacity <= 0 stops recording. Tracing is a debug utility: it costs
+// nothing when disabled and never affects simulated time.
 //
 // If telemetry is enabled (EnableTelemetry) the kernel records into the
 // registry's ring instead, alongside allocator/scheduler/netstack events;
 // EnableTrace then re-points the registry's ring too, so both views stay
 // one ring.
 func (k *Kernel) EnableTrace(capacity int) {
-	if capacity <= 0 {
-		k.ring = nil
-		if k.tel != nil {
-			k.tel.EnableTrace(0)
-		}
+	if capacity <= 0 && k.probe == nil {
 		return
 	}
-	k.ring = telemetry.NewRing(capacity)
-	if k.tel != nil {
+	p := k.attach()
+	p.ring = nil
+	if capacity > 0 {
+		p.ring = telemetry.NewRing(capacity)
+	}
+	if p.tel != nil {
 		// Keep the registry's ring and the kernel's ring one object.
-		k.tel.EnableTrace(0)
-		k.tel.AttachRing(k.ring)
+		p.tel.AttachRing(p.ring)
 	}
 }
 
 // Trace returns the recorded events in chronological order. When the ring
 // wrapped, this is the most recent window; TraceDropped reports how many
 // older events were lost.
-func (k *Kernel) Trace() []TraceEvent { return k.ring.Events() }
+func (k *Kernel) Trace() []TraceEvent { return k.subs().ring.Events() }
 
 // TraceDropped returns the number of events lost to ring wraparound since
 // the last EnableTrace. Zero means Trace() is the complete record.
-func (k *Kernel) TraceDropped() uint64 { return k.ring.Dropped() }
-
-// record appends one event to the ring, stamping the current cycle.
-func (k *Kernel) record(ev TraceEvent) {
-	if k.ring == nil {
-		return
-	}
-	ev.Cycle = k.Core.Clock.Cycles()
-	k.ring.Record(ev)
-}
+func (k *Kernel) TraceDropped() uint64 { return k.subs().ring.Dropped() }

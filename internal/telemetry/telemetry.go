@@ -15,11 +15,13 @@
 //     key; instrumented subsystems fetch handles once and cache them, so
 //     steady-state updates are a nil check plus an add.
 //
-//  3. Exact cycle attribution. All simulated time flows through
-//     hw.Clock.Advance, which charges the currently-installed compartment
-//     account (see hw.Clock.SetCompAccount). The switcher moves that
-//     account at every domain transition, so the per-domain sums equal the
-//     clock's total exactly — no lost or double-charged cycles.
+//  3. Exact cycle attribution. The switcher's probe reads the clock once
+//     at every domain transition and charges the cycles since the previous
+//     transition to the current compartment (or pseudo-domain) account,
+//     then moves that target. Every cycle is charged exactly once, so the
+//     per-domain sums equal the clock's total — no lost or double-charged
+//     cycles — whenever the kernel is not mid-run (it charges the tail
+//     when Run returns).
 //
 // The package is a leaf: it imports nothing from the rest of the module,
 // so every layer (hw, switcher, alloc, sched, netstack) can use it.
@@ -174,9 +176,8 @@ func (h *Histogram) Buckets() (bounds []uint64, counts []uint64) {
 }
 
 // CycleAccount accumulates simulated cycles attributed to one compartment,
-// pseudo-domain, or thread. The switcher installs an account's slot into
-// the hw clock at each domain transition; Slot returns the raw cell the
-// clock charges so the hw package needs no telemetry dependency.
+// pseudo-domain, or thread. The switcher's probe charges it at domain
+// transitions.
 type CycleAccount struct {
 	name   string
 	cycles uint64
@@ -198,13 +199,11 @@ func (a *CycleAccount) Cycles() uint64 {
 	return a.cycles
 }
 
-// Slot returns the cell the hw clock adds cycles into, or nil for a nil
-// account.
-func (a *CycleAccount) Slot() *uint64 {
-	if a == nil {
-		return nil
+// Charge adds n cycles to the account. Nil-safe.
+func (a *CycleAccount) Charge(n uint64) {
+	if a != nil {
+		a.cycles += n
 	}
-	return &a.cycles
 }
 
 // Registry is one simulation run's telemetry state. A nil *Registry is the
@@ -331,8 +330,11 @@ func (r *Registry) Account(domain string) *CycleAccount {
 }
 
 // ThreadAccount returns the cycle account for a thread, creating it on
-// first use. Thread accounts are kept separate from compartment accounts:
-// both partitions independently sum to the attributed total.
+// first use. Thread accounts are kept separate from compartment accounts
+// and do not sum to the attributed total: idle cycles belong to no
+// thread. The kernel's work between a yield and the next dispatch (trap
+// entry, scheduling) is charged to the thread that yielded; a context
+// restore is charged to the thread being restored.
 func (r *Registry) ThreadAccount(thread string) *CycleAccount {
 	if r == nil {
 		return nil

@@ -13,7 +13,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Counter("a", "b").Inc()
 	r.Gauge("a", "b").Add(-3)
 	r.Histogram("a", "b", DefaultSizeBuckets).Observe(7)
-	r.Account("a").Slot()
+	r.Account("a").Charge(1)
 	r.ThreadAccount("t")
 	r.Emit(Event{Kind: KindMark})
 	r.EnableTrace(8)
@@ -67,8 +67,8 @@ func TestCycleAccounts(t *testing.T) {
 	r := NewRegistry(0)
 	a := r.Account("net")
 	b := r.Account(DomainSwitcher)
-	*a.Slot() += 70
-	*b.Slot() += 30
+	a.Charge(70)
+	b.Charge(30)
 	if r.AttributedCycles() != 100 {
 		t.Fatalf("attributed = %d, want 100", r.AttributedCycles())
 	}
@@ -78,7 +78,7 @@ func TestCycleAccounts(t *testing.T) {
 	}
 	// Thread accounts are a separate partition.
 	ta := r.ThreadAccount("worker")
-	*ta.Slot() += 999
+	ta.Charge(999)
 	if r.AttributedCycles() != 100 {
 		t.Fatal("thread accounts must not leak into compartment attribution")
 	}
@@ -129,8 +129,8 @@ func TestSnapshotAndJSON(t *testing.T) {
 	r.Counter("net", "rx").Add(3)
 	r.Gauge("alloc", "quarantine_bytes").Set(64)
 	r.Histogram("alloc", "size_bytes", DefaultSizeBuckets).Observe(100)
-	*r.Account("app").Slot() += 10
-	*r.ThreadAccount("t0").Slot() += 10
+	r.Account("app").Charge(10)
+	r.ThreadAccount("t0").Charge(10)
 	r.EnableTrace(8)
 	r.Emit(Event{Cycle: 42, Kind: KindNetRx, To: "tcpip", Arg: 60})
 
