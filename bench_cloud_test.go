@@ -9,13 +9,11 @@
 // cycle attribution) is identical across shard counts.
 //
 // TestBenchCloudJSON records the grid plus the acceptance pair (1 vs 8
-// shards at the largest fleet) into BENCH_cloud.json.
+// shards at the largest fleet) into BENCH_cloud.json under -update.
 package cheriot_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -60,7 +58,7 @@ func cloudBenchRun(tb testing.TB, cfg fleet.Config) (*fleet.Result, time.Duratio
 }
 
 // TestBenchCloudJSON sweeps shards x devices, checks the probe gate at
-// the largest fleet on 1 and 8 shards, and emits BENCH_cloud.json.
+// the largest fleet on 1 and 8 shards, and records BENCH_cloud.json under -update.
 // Skipped under the race detector: the grid's wall-clock numbers would be
 // meaningless and the large fleets slow.
 func TestBenchCloudJSON(t *testing.T) {
@@ -156,11 +154,5 @@ func TestBenchCloudJSON(t *testing.T) {
 			"Lockstep vs parallel byte-identical summaries under cloud fan-out are asserted by " +
 			"TestFleetFanoutDeterminism in internal/fleet.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_cloud.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_cloud.json: %v", err)
-	}
+	recordBench(t, "BENCH_cloud.json", report)
 }

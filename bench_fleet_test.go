@@ -6,13 +6,11 @@
 // (NumCPU shards). The simulated results are identical in both modes —
 // devices are independent — so the comparison isolates the worker pool.
 //
-// TestBenchFleetJSON records both into BENCH_fleet.json.
+// TestBenchFleetJSON records both into BENCH_fleet.json under -update.
 package cheriot_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -112,7 +110,7 @@ func perDeviceSec(tb testing.TB, res *fleet.Result, phase string) float64 {
 }
 
 // TestBenchFleetJSON measures serial vs parallel fleet throughput plus
-// cold vs snapshot-forked spin-up, and emits BENCH_fleet.json. The
+// cold vs snapshot-forked spin-up, and records BENCH_fleet.json under -update. The
 // simulated outcome must be identical across shard counts; on
 // multi-core hosts the parallel mode must also win on wall-clock
 // publishes/sec; and at 10k devices the snapshot fork must beat the
@@ -258,13 +256,7 @@ func TestBenchFleetJSON(t *testing.T) {
 			"single-CPU host the parallel mode cannot beat serial and parallel_beats_serial is " +
 			"expected to be false.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_fleet.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_fleet.json: %v", err)
-	}
+	recordBench(t, "BENCH_fleet.json", report)
 	t.Logf("serial %.2fs vs parallel %.2fs (%d shards): %.2fx, %.1f vs %.1f publishes/sec",
 		serialWall.Seconds(), parallelWall.Seconds(), runtime.NumCPU(), speedup, serialPub, parallelPub)
 }

@@ -14,13 +14,12 @@
 // Two properties matter: simulated cycles must be IDENTICAL in all
 // modes (the recorder observes the clock, never advances it), and the
 // host-side cost of recording must stay under 2x the disabled baseline.
-// TestBenchFlightrecJSON records both into BENCH_flightrec.json.
+// TestBenchFlightrecJSON records both into BENCH_flightrec.json under
+// -update.
 package cheriot_test
 
 import (
-	"encoding/json"
 	"io"
-	"os"
 	"testing"
 	"time"
 
@@ -84,7 +83,8 @@ func BenchmarkFlightrecOverhead_Fig7(b *testing.B) {
 
 // TestBenchFlightrecJSON checks the recorder's zero-simulated-cost
 // property exactly, checks the <2x host-overhead acceptance bound, and
-// emits BENCH_flightrec.json with the off / on / on+dump numbers.
+// records (under -update) BENCH_flightrec.json with the off / on /
+// on+dump numbers.
 func TestBenchFlightrecJSON(t *testing.T) {
 	const reps = 3
 
@@ -147,13 +147,7 @@ func TestBenchFlightrecJSON(t *testing.T) {
 			"records to the fixed ring on each hook. Fault-dump ms is the one-time cost of " +
 			"serializing the black box after a crash. Host figures are machine-dependent.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_flightrec.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_flightrec.json: %v", err)
-	}
+	recordBench(t, "BENCH_flightrec.json", report)
 	t.Logf("fig7: %d simcycles in all modes; host %s off, %s on (%.2fx), dump %s, %d reports",
 		disCycles, disHost, enHost, ratio, dumpHost, reports)
 }

@@ -13,12 +13,10 @@
 // complete, the poisoned one must roll back on its own, and the whole
 // updated cohort must fork from exactly one cold boot of the new shape.
 //
-// TestBenchOTAJSON writes BENCH_ota.json.
+// TestBenchOTAJSON writes BENCH_ota.json under -update.
 package cheriot_test
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -175,13 +173,7 @@ func TestBenchOTAJSON(t *testing.T) {
 			"availability_per_second is devices publishing per simulated second: the staged dips " +
 			"are the rings rebooting, the poisoned curve shows the canary dip and recovery.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_ota.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_ota.json: %v", err)
-	}
+	recordBench(t, "BENCH_ota.json", report)
 	t.Logf("healthy: completion %.0fs sim (%.2fs wall); poisoned: rollback after %.0fs sim, %d crashes (%.2fs wall)",
 		completion, healthyWall.Seconds(), timeToRollback, pro.CohortCrashes, poisonedWall.Seconds())
 }

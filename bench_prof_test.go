@@ -10,13 +10,12 @@
 //  2. The captured profile is exact: per-frame self cycles sum to the
 //     attributed total, which equals the merged telemetry clock delta.
 //
-// TestBenchProfJSON writes BENCH_prof.json, including the hotspot
-// table and the host boot/step/pump/merge wall-clock split.
+// TestBenchProfJSON writes (under -update) BENCH_prof.json, including
+// the hotspot table and the host boot/step/merge wall-clock split.
 package cheriot_test
 
 import (
 	"encoding/json"
-	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -170,16 +169,10 @@ func TestBenchProfJSON(t *testing.T) {
 			"pair ratios, i.e. the burst-free pair; the median is noisier on a shared host and " +
 			"reported for reference); profile self cycles sum exactly to the merged telemetry " +
 			"clock delta. " +
-			"host_phases is the boot/step/pump/merge wall split from a separate -hostprof run; " +
+			"host_phases is the boot/step/merge wall split from a separate -hostprof run; " +
 			"wall-clock figures are machine-dependent, the profile is deterministic.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_prof.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_prof.json: %v", err)
-	}
+	recordBench(t, "BENCH_prof.json", report)
 	t.Logf("prof overhead %.3fx (base %.3fs), %d frames, %d cycles attributed, top frame %s",
 		overhead, baseWall.Seconds(), len(p.Frames), p.TotalCycles, p.Top(1)[0].Stack)
 }

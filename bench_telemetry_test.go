@@ -8,13 +8,12 @@
 //   - host ns per call shows what the instrumentation costs the
 //     simulator itself (disabled mode pays only a nil check).
 //
-// TestBenchTelemetryJSON records both into BENCH_telemetry.json.
+// TestBenchTelemetryJSON records both into BENCH_telemetry.json under
+// -update.
 package cheriot_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -94,8 +93,9 @@ func BenchmarkTelemetryOverhead_CallPath(b *testing.B) {
 }
 
 // TestBenchTelemetryJSON verifies that telemetry never perturbs the
-// simulated clock on the call path and emits BENCH_telemetry.json with
-// the disabled-vs-enabled host-side cost of the instrumentation.
+// simulated clock on the call path and records (under -update)
+// BENCH_telemetry.json with the disabled-vs-enabled host-side cost of
+// the instrumentation.
 func TestBenchTelemetryJSON(t *testing.T) {
 	const calls = 20000
 	const reps = 3
@@ -144,13 +144,7 @@ func TestBenchTelemetryJSON(t *testing.T) {
 			"costs zero simulated cycles; disabled mode pays only a nil check per hook. " +
 			"Host ns/call figures are machine-dependent and indicative only.",
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_telemetry.json", append(b, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_telemetry.json: %v", err)
-	}
+	recordBench(t, "BENCH_telemetry.json", report)
 	t.Logf("call path: %.1f simcycles/call, host %.0f ns/call disabled vs %.0f ns/call enabled (%.1f%%)",
 		float64(disCycles)/calls, disNs, enNs, overheadPct)
 }
