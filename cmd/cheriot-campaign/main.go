@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	par := fs.Int("par", 1, "worker-pool width across scenario×seed cells (1: sequential)")
 	jsonOut := fs.Bool("json", false, "print the deterministic suite report as JSON on stdout")
 	quiet := fs.Bool("quiet", false, "suppress per-cell progress on stderr")
-	hostProf := fs.Bool("hostprof", false, "record each cell's host wall-clock phase split (boot/step/pump/merge) in the report")
+	hostProf := fs.Bool("hostprof", false, "record each cell's host wall-clock phase split (boot/step/merge) in the report")
 
 	// Accept both `run smoke -seeds 2` and `run -seeds 2 smoke`.
 	var target string

@@ -144,13 +144,6 @@ type Device struct {
 	retiredReboots int
 	retiredBroken  bool // a retired incarnation failed a cycle invariant
 
-	// Host-profiling pump sampling (Config.HostProf): timing every inbox
-	// pump would distort the very cost it measures, so runSlice times one
-	// in 64 and the runner scales the sample up.
-	pumpCount   uint64
-	pumpSampled uint64
-	pumpWall    time.Duration
-
 	// bootWall is the wall-clock cost of System construction alone (cold
 	// loader boot or snapshot fork); the runner splits it into the
 	// boot/cold and boot/fork host-profile sub-phases.
@@ -337,33 +330,10 @@ func (d *Device) buildImage(withOTA bool) (*firmware.Image, *netstack.Stack) {
 // cloud from other goroutines enter this device's event queue at the
 // next dispatch boundary.
 func (d *Device) runSlice(toCycle uint64) error {
-	if d.cfg.HostProf {
-		return d.Sys.Run(func() bool {
-			d.pumpCount++
-			if d.pumpCount&63 == 1 {
-				t0 := time.Now()
-				d.World.PumpInbox()
-				d.pumpWall += time.Since(t0)
-				d.pumpSampled++
-			} else {
-				d.World.PumpInbox()
-			}
-			return d.Sys.Cycles() >= toCycle
-		})
-	}
 	return d.Sys.Run(func() bool {
 		d.World.PumpInbox()
 		return d.Sys.Cycles() >= toCycle
 	})
-}
-
-// pumpEstimate scales the sampled pump time up to the device's full pump
-// count.
-func (d *Device) pumpEstimate() time.Duration {
-	if d.pumpSampled == 0 {
-		return 0
-	}
-	return time.Duration(uint64(d.pumpWall) / d.pumpSampled * d.pumpCount)
 }
 
 // addApp registers the load-generating application compartment: after an

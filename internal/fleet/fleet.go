@@ -170,9 +170,9 @@ type Config struct {
 	// runs are byte-identical). Off, the hot path pays one nil check.
 	Prof bool
 	// HostProf times the runner's real wall-clock cost centers — device
-	// boot, the step loop, netsim inbox pumping, the merge/report phase —
-	// into Result.HostProf. Host-dependent by nature, it never touches
-	// the deterministic Summary.
+	// boot, the step loop, the merge/report phase — into Result.HostProf.
+	// Host-dependent by nature, it never touches the deterministic
+	// Summary.
 	HostProf bool
 
 	// Rollout, when non-nil, arms the staged OTA firmware rollout
@@ -612,7 +612,7 @@ type Result struct {
 	// bookkeeping, kept out of the Summary.
 	IndexProbes int
 	// HostProf is the host-side wall-clock phase split — boot, step,
-	// pump, merge — per worker (nil unless Config.HostProf). Like the
+	// merge — per worker (nil unless Config.HostProf). Like the
 	// wall timings above it is host-dependent, so it stays out of the
 	// Summary.
 	HostProf *prof.HostProfile
@@ -747,19 +747,6 @@ func Run(cfg Config) (*Result, error) {
 				rolloutErr = err
 				break
 			}
-		}
-	}
-	if hp != nil {
-		// The pump estimate is part of the step wall, broken out so
-		// the split shows where the step loop's time goes.
-		for s := 0; s < cfg.Shards; s++ {
-			var pump time.Duration
-			var pumps uint64
-			for _, i := range shardIndices[s] {
-				pump += devices[i].pumpEstimate()
-				pumps += devices[i].pumpCount
-			}
-			hp.Add("pump", pump, pumps)
 		}
 	}
 	runWall := time.Since(runStart)

@@ -127,9 +127,6 @@ func TestFleetHostProf(t *testing.T) {
 	if hp.Phase("boot").Calls != uint64(cfg.Devices) {
 		t.Errorf("boot calls = %d, want %d devices", hp.Phase("boot").Calls, cfg.Devices)
 	}
-	if hp.Phase("pump").Calls == 0 {
-		t.Error("no inbox pumps sampled")
-	}
 
 	// Host profiling is wall-clock-only: the deterministic summary is
 	// byte-identical to an uninstrumented run.

@@ -117,7 +117,7 @@ func (o *Options) Register(fs *flag.FlagSet) {
 	fs.IntVar(&o.ObsSpans, "obs-spans", o.ObsSpans, "per-device span buffer capacity (0: default 4096)")
 	fs.StringVar(&o.SLO, "slo", o.SLO, "SLO rules over the health series, e.g. 'delivery>=0.99;p99<=5ms;availability>=0.9@12s' (implies -obs)")
 	fs.BoolVar(&o.Prof, "prof", o.Prof, "cycle-exact compartment profiler (folded call stacks in the summary)")
-	fs.BoolVar(&o.HostProf, "hostprof", o.HostProf, "time the runner's host wall-clock phases (boot/step/pump/merge)")
+	fs.BoolVar(&o.HostProf, "hostprof", o.HostProf, "time the runner's host wall-clock phases (boot/step/merge)")
 	fs.BoolVar(&o.NoSnapshot, "no-snapshot", o.NoSnapshot, "disable snapshot/fork boot: run the full loader for every device instead of forking from a per-shape template")
 	fs.DurationVar(&o.Rollout, "rollout", o.Rollout, "stage an OTA firmware rollout: first canary offer at this simulated time (0: off)")
 	fs.StringVar(&o.RolloutRings, "rollout-rings", o.RolloutRings, "rollout rings as cumulative fleet percentages, e.g. '1,10,50,100' (default from plan)")

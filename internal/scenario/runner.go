@@ -34,8 +34,8 @@ type SeedVerdict struct {
 	Fixtures []FixtureResult   `json:"fixtures,omitempty"`
 	// Summary is the run's deterministic evidence.
 	Summary *fleet.Summary `json:"summary,omitempty"`
-	// Host is the cell's host wall-clock phase split (boot/step/pump/
-	// merge), recorded only under Options.HostProf. It is machine- and
+	// Host is the cell's host wall-clock phase split (boot/step/merge),
+	// recorded only under Options.HostProf. It is machine- and
 	// load-dependent by nature: determinism comparisons must strip it.
 	Host *prof.HostProfile `json:"host,omitempty"`
 }
@@ -81,7 +81,7 @@ type Options struct {
 	// is deliberately kept out of the report itself.
 	Stderr io.Writer
 	// HostProf records each cell's host wall-clock phase split
-	// (boot/step/pump/merge) in SeedVerdict.Host. Host timing is the one
+	// (boot/step/merge) in SeedVerdict.Host. Host timing is the one
 	// non-deterministic field in the report; leave it off when comparing
 	// reports byte-for-byte.
 	HostProf bool
