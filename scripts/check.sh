@@ -21,13 +21,16 @@ echo "ok"
 echo "== go test -race =="
 go test -race ./...
 
-echo "== fuzz the broker's inbound decoders =="
+echo "== fuzz the wire decoders =="
 # Each target runs briefly from its committed seed corpus
-# (internal/netproto/testdata/fuzz); a panic or a broken round trip
-# fails the check, and the crashing input is written to the corpus.
-# Minimizing is capped so that shrinking a new corpus entry cannot eat
-# the whole 10 s budget.
-for target in FuzzDecodeClientHello FuzzSessionOpen FuzzDecodeMQTT FuzzMQTTRoundTrip; do
+# (internal/netproto/testdata/fuzz): the broker's inbound TLS and MQTT
+# decoders, and the device's frame, UDP, TCP, DNS, SNTP and DHCP
+# decoders. A panic or a broken round trip fails the check, and the
+# crashing input is written to the corpus. Minimizing is capped so that
+# shrinking a new corpus entry cannot eat the whole 10 s budget.
+for target in FuzzDecodeClientHello FuzzSessionOpen FuzzDecodeMQTT FuzzMQTTRoundTrip \
+	FuzzDecodeHeader FuzzDecodeUDP FuzzDecodeTCP FuzzDecodeDNSQuery FuzzDecodeDNSReply \
+	FuzzDecodeNTPRequest FuzzDecodeNTPReply FuzzDecodeDHCP; do
 	go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 2s ./internal/netproto/
 done
 echo "ok"
