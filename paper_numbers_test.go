@@ -46,6 +46,7 @@ type paperNumbers struct {
 		IRQLatency float64 `json:"irq_latency"`
 	} `json:"fig6a_cycles"`
 	Fig6b []allocPoint `json:"fig6b"`
+	Fig7  fig7         `json:"fig7"`
 }
 
 // allocPoint is one Fig. 6b size: simulated cycles per malloc/touch/free.
@@ -70,11 +71,12 @@ func measurePaperNumbers(tb testing.TB, arm func(*core.System)) paperNumbers {
 		cycles, bytes := allocCycles(tb, size, arm)
 		p.Fig6b = append(p.Fig6b, allocPoint{size, float64(cycles) / float64(bytes) * float64(size)})
 	}
+	p.Fig7 = fig7Numbers(tb, arm)
 	return p
 }
 
-// TestPaperNumbersGolden pins the paper's Table 2/3 and Fig. 6a/6b
-// numbers exactly, so a cost-model change cannot pass tier-1 silently.
+// TestPaperNumbersGolden pins the paper's Table 2/3, Fig. 6a/6b and
+// Fig. 7 numbers exactly, so a cost-model change cannot pass tier-1 silently.
 // Instruments never advance simulated time: the run with telemetry,
 // the profiler, the flight recorder and the trace ring armed must
 // report the same numbers. Regenerate the golden with -update.
