@@ -34,6 +34,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -324,6 +325,24 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	return c
+}
+
+// checkFinite rejects a NaN or infinite rate: every range comparison on
+// a NaN is false, so it would slip past each default and bound and run
+// a fleet that never publishes (or, at +Inf, publishes back to back).
+func (c Config) checkFinite() error {
+	check := func(name string, v float64) error {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("fleet: %s is %g, want a finite number", name, v)
+		}
+		return nil
+	}
+	err := errors.Join(check("PublishRate", c.PublishRate), check("DropRate", c.DropRate),
+		check("ObsSample", c.ObsSample))
+	for _, p := range c.Profiles {
+		err = errors.Join(err, check("profile "+p.Name+" rate", p.PublishRate))
+	}
+	return err
 }
 
 // profileFor resolves device i's profile by seeded weighted choice (its
@@ -620,6 +639,9 @@ type Result struct {
 
 // Run builds and runs a fleet per cfg.
 func Run(cfg Config) (*Result, error) {
+	if err := cfg.checkFinite(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Devices > maxDevices {
 		return nil, fmt.Errorf("fleet: %d devices exceeds the %d address pool", cfg.Devices, maxDevices)

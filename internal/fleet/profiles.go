@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -47,7 +48,7 @@ func ParseProfiles(spec string) ([]Profile, error) {
 				switch k {
 				case "rate":
 					f, err := strconv.ParseFloat(v, 64)
-					if err != nil {
+					if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 						return nil, fmt.Errorf("profile %q: bad rate %q", p.Name, v)
 					}
 					p.PublishRate = f

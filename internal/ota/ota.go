@@ -184,7 +184,7 @@ func NewController(plan Plan, devices int, hz uint64) (*Controller, error) {
 	}
 	prev := 0.0
 	for i, pct := range plan.Rings {
-		if pct <= prev || pct > 100 {
+		if !(pct > prev && pct <= 100) { // false for a NaN too
 			return nil, fmt.Errorf("ota: rings must be strictly ascending percentages in (0,100], ring %d is %g after %g",
 				i, pct, prev)
 		}
