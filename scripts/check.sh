@@ -21,17 +21,21 @@ echo "ok"
 echo "== go test -race =="
 go test -race ./...
 
-echo "== fuzz the wire decoders =="
-# Each target runs briefly from its committed seed corpus
-# (internal/netproto/testdata/fuzz): the broker's inbound TLS and MQTT
-# decoders, and the device's frame, UDP, TCP, DNS, SNTP and DHCP
-# decoders. A panic or a broken round trip fails the check, and the
-# crashing input is written to the corpus. Minimizing is capped so that
-# shrinking a new corpus entry cannot eat the whole 10 s budget.
-for target in FuzzDecodeClientHello FuzzSessionOpen FuzzDecodeMQTT FuzzMQTTRoundTrip \
-	FuzzDecodeHeader FuzzDecodeUDP FuzzDecodeTCP FuzzDecodeDNSQuery FuzzDecodeDNSReply \
-	FuzzDecodeNTPRequest FuzzDecodeNTPReply FuzzDecodeDHCP; do
-	go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 2s ./internal/netproto/
+echo "== fuzz the wire decoders and spec parsers =="
+# Each target runs briefly from its committed seed corpus (testdata/fuzz
+# in its package): the broker's inbound TLS and MQTT decoders, the
+# device's frame, UDP, TCP, DNS, SNTP and DHCP decoders, and the -slo
+# and -profiles spec parsers. A panic, a broken round trip or an
+# accepted non-finite value fails the check, and the crashing input is
+# written to the corpus. Minimizing is capped so that shrinking a new
+# corpus entry cannot eat the whole 10 s budget.
+for target in netproto:FuzzDecodeClientHello netproto:FuzzSessionOpen \
+	netproto:FuzzDecodeMQTT netproto:FuzzMQTTRoundTrip netproto:FuzzDecodeHeader \
+	netproto:FuzzDecodeUDP netproto:FuzzDecodeTCP netproto:FuzzDecodeDNSQuery \
+	netproto:FuzzDecodeDNSReply netproto:FuzzDecodeNTPRequest netproto:FuzzDecodeNTPReply \
+	netproto:FuzzDecodeDHCP fleetobs:FuzzParseRules fleet:FuzzParseProfiles; do
+	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s -fuzzminimizetime 2s \
+		"./internal/${target%%:*}/"
 done
 echo "ok"
 
