@@ -200,13 +200,14 @@ func writeChrome(path string, dumps []*flightrec.Dump) error {
 	for _, d := range dumps {
 		total += len(d.Events)
 	}
-	reg := telemetry.NewRegistry(hz)
-	reg.EnableTrace(total + 1)
+	ring := telemetry.NewRing(total + 1)
 	for _, d := range dumps {
 		for _, ev := range d.Events {
-			reg.Emit(toTelemetry(ev))
+			ring.Record(toTelemetry(ev))
 		}
 	}
+	reg := telemetry.NewRegistry(hz)
+	reg.AttachRing(ring)
 	f, err := os.Create(path)
 	if err != nil {
 		return err

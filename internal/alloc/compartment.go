@@ -6,7 +6,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/sched"
-	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // Entry point names exported by the allocator compartment.
@@ -90,8 +89,9 @@ func (a *Alloc) heapAllocate(ctx api.Context, args []api.Value) []api.Value {
 		return api.EV(errno)
 	}
 	a.allocs[base] = &allocation{base: base, size: size, owners: map[uint32]int{recAddr: 1}}
-	a.recAlloc(q, base, size, false)
-	return []api.Value{api.W(uint32(api.OK)), api.C(a.objectCap(base, size))}
+	obj := a.objectCap(base, size)
+	a.ev.Allocated(q.owner, q.name, obj)
+	return []api.Value{api.W(uint32(api.OK)), api.C(obj)}
 }
 
 // allocate reserves size bytes against q, waiting for revocation passes
@@ -108,12 +108,7 @@ func (a *Alloc) allocate(ctx api.Context, recAddr uint32, q *quota, size uint32)
 		if base, ok := a.takeFree(size); ok {
 			q.used += size
 			a.allocCount++
-			if tel := a.tel(); tel != nil {
-				tel.Counter(Name, "mallocs").Inc()
-				tel.Histogram(Name, "size_bytes", telemetry.DefaultSizeBuckets).Observe(uint64(size))
-				tel.Emit(telemetry.Event{Kind: telemetry.KindAlloc,
-					From: q.owner, To: Name, Arg: uint64(size)})
-			}
+			a.ev.Malloc(q.owner, size)
 			return base, api.OK
 		}
 		if a.totalFreeable() < size || attempt >= maxWaits {
@@ -121,7 +116,7 @@ func (a *Alloc) allocate(ctx api.Context, recAddr uint32, q *quota, size uint32)
 		}
 		// Block until the revoker makes progress, then drain and retry.
 		a.sweepWaits++
-		a.tel().Counter(Name, "sweep_waits").Inc()
+		a.ev.SweepWait()
 		rev := a.k.Core.Revoker
 		if !rev.Running() {
 			rev.Request()
@@ -177,12 +172,7 @@ func (a *Alloc) release(ctx api.Context, recAddr uint32, q *quota, meta *allocat
 	ctx.Work(hw.FreeFixedCycles)
 	delete(a.allocs, meta.base)
 	a.freeCount++
-	if tel := a.tel(); tel != nil {
-		tel.Counter(Name, "frees").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindFree,
-			From: q.owner, To: Name, Arg: uint64(meta.size)})
-	}
-	a.rec().Free(meta.base, q.owner, a.k.Core.Revoker.Epoch())
+	a.ev.Free(q.owner, meta.base, meta.size)
 	if hazardCovers(a.k.HazardSlots(), meta.base, meta.size) {
 		// An ephemeral claim pins the object; the free completes when the
 		// claim lapses (§3.2.5).
@@ -217,7 +207,7 @@ func (a *Alloc) heapClaim(ctx api.Context, args []api.Value) []api.Value {
 	ctx.Work(hw.HeapClaimCycles)
 	meta.owners[recAddr]++
 	q.used += meta.size
-	a.rec().Claim(meta.base, q.owner)
+	a.ev.Claim(q.owner, meta.base)
 	return api.EV(api.OK)
 }
 
@@ -259,8 +249,7 @@ func (a *Alloc) heapAllocateSealed(ctx api.Context, args []api.Value) []api.Valu
 	if err != nil {
 		panic(hw.TrapFromCapError(err, base))
 	}
-	a.recAlloc(q, base, size, true)
-	a.rec().Seal(q.owner, sealed, "heap_allocate_sealed")
+	a.ev.Allocated(q.owner, q.name, sealed)
 	return []api.Value{api.W(uint32(api.OK)), api.C(sealed)}
 }
 

@@ -58,11 +58,7 @@ func (r *Rebooter) Reboot(ctx api.Context) error {
 	}
 	r.Reboots++
 	r.LastDuration = r.Kernel.Core.Clock.Cycles() - start
-	if t := r.Kernel.ThreadByID(ctx.ThreadID()); t != nil {
-		r.Kernel.FlightRecorder().Reboot(r.Compartment, t.Name, r.Reboots)
-	} else {
-		r.Kernel.FlightRecorder().Reboot(r.Compartment, "", r.Reboots)
-	}
+	ctx.Observe(api.ObserveReboot, api.W(uint32(r.Reboots)))
 	return nil
 }
 

@@ -19,6 +19,7 @@ import (
 // filter. The resulting crash report must walk provenance backwards to
 // the allocating compartment and the sweep that invalidated the object.
 func TestFlightRecorderUseAfterFreeForensics(t *testing.T) {
+	var rec *flightrec.Recorder
 	img := NewImage("uaf-forensics")
 	img.AddCompartment(&firmware.Compartment{
 		Name: "victim", CodeSize: 512, DataSize: 64,
@@ -50,7 +51,6 @@ func TestFlightRecorderUseAfterFreeForensics(t *testing.T) {
 				}
 				// Wait until the revocation sweep triggered by the free has
 				// completed; the recorder observes sweep completion.
-				rec := ctx.FlightRecorder()
 				for i := 0; i < 64 && rec.Sweeps() == 0; i++ {
 					if _, err := ctx.Call(sched.Name, sched.EntrySleep, api.W(200_000)); err != nil {
 						t.Errorf("sleep: %v", err)
@@ -71,7 +71,7 @@ func TestFlightRecorderUseAfterFreeForensics(t *testing.T) {
 		Priority: 1, StackSize: 2048, TrustedStackFrames: 8})
 
 	s := boot(t, img)
-	rec := s.EnableFlightRecorder(512)
+	rec = s.EnableFlightRecorder(512)
 	if err := s.Run(nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

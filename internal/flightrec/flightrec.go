@@ -233,9 +233,6 @@ func New(capacity int) *Recorder {
 	}
 }
 
-// Enabled reports whether the recorder is active (non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // SetNow installs the cycle clock used to stamp events.
 func (r *Recorder) SetNow(now func() uint64) {
 	if r != nil {
@@ -248,14 +245,6 @@ func (r *Recorder) SetDevice(name string) {
 	if r != nil {
 		r.device = name
 	}
-}
-
-// Device returns the device name.
-func (r *Recorder) Device() string {
-	if r == nil {
-		return ""
-	}
-	return r.device
 }
 
 func (r *Recorder) stamp() uint64 {
@@ -338,12 +327,6 @@ func (r *Recorder) Unwind(thread, target string) {
 	r.Emit(Record{Op: OpUnwind, Thread: thread, Comp: target})
 }
 
-// Trap records a trap event in the ring (the structured report is built
-// separately by Fault).
-func (r *Recorder) Trap(thread, comp, code string, addr uint32) {
-	r.Emit(Record{Op: OpTrap, Thread: thread, Comp: comp, Detail: code, Arg: uint64(addr)})
-}
-
 // Seal records a sealing operation.
 func (r *Recorder) Seal(comp string, c cap.Capability, note string) {
 	r.Emit(Record{Op: OpSeal, Comp: comp, Arg: uint64(c.Base()), Detail: note})
@@ -360,8 +343,9 @@ func (r *Recorder) Unseal(comp, caller string, ok bool) {
 }
 
 // Alloc records a heap allocation owned by quota (owner compartment),
-// creating the allocation's provenance node. heapNode, if non-zero, is
-// the heap-region root the object capability was derived from.
+// creating the allocation's provenance node, and for a sealed object its
+// sealing. heapNode, if non-zero, is the heap-region root the object
+// capability was derived from.
 func (r *Recorder) Alloc(heapNode uint32, owner, quotaName string, base, size uint32, sealed bool) uint32 {
 	if r == nil {
 		return 0
@@ -378,6 +362,9 @@ func (r *Recorder) Alloc(heapNode uint32, owner, quotaName string, base, size ui
 	r.live[base] = ar
 	r.Emit(Record{Op: OpAlloc, Comp: owner, Detail: quotaName,
 		Node: id, Parent: heapNode, Arg: uint64(size), Arg2: uint64(base)})
+	if sealed {
+		r.Emit(Record{Op: OpSeal, Comp: owner, Arg: uint64(base), Detail: note})
+	}
 	return id
 }
 

@@ -48,7 +48,7 @@ func (r *Recorder) Fault(thread, comp, entry string, pc uint32, code, detail str
 	if r == nil {
 		return
 	}
-	r.Trap(thread, comp, code, pc)
+	r.Emit(Record{Op: OpTrap, Thread: thread, Comp: comp, Detail: code, Arg: uint64(pc)})
 	r.reportsTotal++
 	rep := Report{
 		Device:      r.device,

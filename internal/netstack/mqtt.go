@@ -8,7 +8,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/fleetobs"
 	"github.com/cheriot-go/cheriot/internal/libs"
 	"github.com/cheriot-go/cheriot/internal/netproto"
-	"github.com/cheriot-go/cheriot/internal/telemetry"
 	"github.com/cheriot-go/cheriot/internal/token"
 )
 
@@ -195,12 +194,7 @@ func mqttPublish(ctx api.Context, args []api.Value) []api.Value {
 	if errno != api.OK {
 		return api.EV(errno)
 	}
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(MQTT, "publishes").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindSend,
-			From: ctx.Caller(), To: MQTT, Entry: FnMQTTPublish,
-			Arg: uint64(payloadBuf.Length())})
-	}
+	ctx.Observe(api.ObservePublish, api.W(payloadBuf.Length()))
 	// Distributed tracing: a sampled publish carries its trace ID in-band
 	// (8 extra wire bytes, charged through the TLS per-byte cost model —
 	// the honest simulated price of trace context on the wire). Untraced

@@ -5,7 +5,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
-	"github.com/cheriot-go/cheriot/internal/telemetry"
 	"github.com/cheriot-go/cheriot/internal/token"
 )
 
@@ -212,11 +211,7 @@ func netSend(ctx api.Context, args []api.Value) []api.Value {
 	if errno != api.OK {
 		return api.EV(errno)
 	}
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(NetAPI, "sends").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindSend,
-			From: ctx.Caller(), To: NetAPI, Arg: uint64(args[1].Cap.Length())})
-	}
+	ctx.Observe(api.ObserveSend, api.W(args[1].Cap.Length()))
 	rets, err := ctx.Call(TCPIP, FnSockSend, api.W(id), args[1])
 	if err != nil {
 		return api.EV(api.ErrConnReset)
@@ -238,11 +233,7 @@ func netRecv(ctx api.Context, args []api.Value) []api.Value {
 	if errno != api.OK {
 		return api.EV(errno)
 	}
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(NetAPI, "recvs").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindRecv,
-			From: ctx.Caller(), To: NetAPI, Arg: uint64(args[1].Cap.Length())})
-	}
+	ctx.Observe(api.ObserveRecv, api.W(args[1].Cap.Length()))
 	rets, err := ctx.Call(TCPIP, FnSockRecv, api.W(id), args[1], args[2])
 	if err != nil {
 		return api.EV(api.ErrConnReset)

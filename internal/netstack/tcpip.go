@@ -8,7 +8,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/libs"
 	"github.com/cheriot-go/cheriot/internal/netproto"
 	"github.com/cheriot-go/cheriot/internal/sched"
-	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // TCP/IP entry names.
@@ -180,12 +179,7 @@ func (st *tcpipState) sendSegment(ctx api.Context, s *socket, flags uint8, data 
 		}
 	}
 	st.txSegments++
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(TCPIP, "tx_segments").Inc()
-		tel.Histogram(TCPIP, "tx_bytes", telemetry.DefaultSizeBuckets).Observe(uint64(len(payload)))
-		tel.Emit(telemetry.Event{Kind: telemetry.KindNetTx,
-			To: TCPIP, Arg: uint64(len(payload))})
-	}
+	ctx.Observe(api.ObserveNetTx, api.W(uint32(len(payload))))
 	return txFrame(ctx, netproto.EncodeHeader(netproto.Header{
 		Dst: s.remoteIP, Src: st.deviceIP, Proto: s.proto,
 	}, payload))
@@ -209,12 +203,7 @@ func ipRx(ctx api.Context, args []api.Value) []api.Value {
 	frame := args[0].Cap
 	st := ipState(ctx)
 	st.rxFrames++
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(TCPIP, "rx_frames").Inc()
-		tel.Histogram(TCPIP, "rx_bytes", telemetry.DefaultSizeBuckets).Observe(uint64(frame.Length()))
-		tel.Emit(telemetry.Event{Kind: telemetry.KindNetRx,
-			To: TCPIP, Arg: uint64(frame.Length())})
-	}
+	ctx.Observe(api.ObserveNetRx, api.W(frame.Length()))
 	if frame.Length() < netproto.HeaderBytes {
 		return api.EV(api.ErrInvalid)
 	}

@@ -5,7 +5,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/hw"
-	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // Entry point names exported by the scheduler compartment. Compartments
@@ -76,12 +75,7 @@ func (s *Sched) futexWait(ctx api.Context, args []api.Value) []api.Value {
 		return api.EV(api.OK) // the word moved: no sleep, caller re-checks
 	}
 	t := s.k.ThreadByID(ctx.ThreadID())
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(Name, "futex_waits").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindFutexWait,
-			Thread: t.Name, From: ctx.Caller(), Arg: uint64(word.Address())})
-	}
-	ctx.FlightRecorder().FutexWait(t.Name, ctx.Caller(), word.Address())
+	s.ev.FutexWait(t, ctx.Caller(), word.Address())
 	w := &waiter{t: t, addrs: []uint32{word.Address()}, wokenBy: noWaker}
 	s.register(w)
 	if timeout > 0 {
@@ -117,9 +111,7 @@ func (s *Sched) futexWake(ctx api.Context, args []api.Value) []api.Value {
 		n = -1
 	}
 	woken := s.wake(word.Address(), n)
-	if woken > 0 {
-		ctx.FlightRecorder().FutexWake(ctx.Caller(), word.Address(), woken)
-	}
+	s.ev.FutexWake(ctx.Caller(), word.Address(), woken)
 	return []api.Value{api.W(uint32(woken))}
 }
 
@@ -185,11 +177,7 @@ func (s *Sched) sleep(ctx api.Context, args []api.Value) []api.Value {
 	}
 	n := uint64(args[0].AsWord())
 	t := s.k.ThreadByID(ctx.ThreadID())
-	if tel := ctx.Telemetry(); tel != nil {
-		tel.Counter(Name, "sleeps").Inc()
-		tel.Emit(telemetry.Event{Kind: telemetry.KindSleep,
-			Thread: t.Name, From: ctx.Caller(), Arg: n})
-	}
+	s.ev.Sleep(t, ctx.Caller(), n)
 	w := &waiter{t: t, wokenBy: noWaker}
 	s.register(w)
 	s.k.Core.After(n, func() {

@@ -12,7 +12,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/cap"
 	"github.com/cheriot-go/cheriot/internal/hw"
 	"github.com/cheriot-go/cheriot/internal/switcher"
-	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // DefaultQuantum is the preemption quantum: ~3 ms at 33 MHz.
@@ -24,6 +23,7 @@ const Name = "sched"
 // Sched is the scheduling policy plus the futex machinery.
 type Sched struct {
 	k       *switcher.Kernel
+	ev      *switcher.Reporter // reports futex and sleep events to the kernel's instruments
 	quantum uint64
 
 	ready []readyEntry
@@ -72,19 +72,11 @@ func New() *Sched {
 // SetQuantum overrides the preemption quantum (cycles).
 func (s *Sched) SetQuantum(q uint64) { s.quantum = q }
 
-// tel returns the kernel's telemetry registry (nil when disabled); every
-// handle derived from it is nil-safe.
-func (s *Sched) tel() *telemetry.Registry {
-	if s.k == nil {
-		return nil
-	}
-	return s.k.Telemetry()
-}
-
 // Attach wires the scheduler to the booted kernel and locates its
 // interrupt futex words in its globals region.
 func (s *Sched) Attach(k *switcher.Kernel) {
 	s.k = k
+	s.ev = k.Reporter(Name)
 	k.SetScheduler(s)
 	comp := k.Comp(Name)
 	if comp != nil {
@@ -183,11 +175,7 @@ func (s *Sched) wake(addr uint32, n int) int {
 		s.complete(w)
 		woken++
 		s.k.Core.Tick(hw.FutexWakeCycles)
-		if tel := s.tel(); tel != nil {
-			tel.Counter(Name, "futex_wakes").Inc()
-			tel.Emit(telemetry.Event{Kind: telemetry.KindFutexWake,
-				Thread: w.t.Name, Arg: uint64(addr)})
-		}
+		s.ev.Woke(w.t, addr)
 	}
 	return woken
 }

@@ -44,6 +44,8 @@ type Comp struct {
 	// is disabled); the probe charges it while this compartment is on top
 	// of the running thread's trusted stack.
 	acct *telemetry.CycleAccount
+	// ev reports the compartment's subsystem events (events.go).
+	ev Reporter
 }
 
 // CompConfig is everything the loader derived for a compartment.

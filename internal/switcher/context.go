@@ -5,9 +5,7 @@ import (
 
 	"github.com/cheriot-go/cheriot/internal/api"
 	"github.com/cheriot-go/cheriot/internal/cap"
-	"github.com/cheriot-go/cheriot/internal/flightrec"
 	"github.com/cheriot-go/cheriot/internal/hw"
-	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
 // ctx implements api.Context for one compartment-call frame. Every memory
@@ -52,14 +50,8 @@ func (c *ctx) trapIf(err error, cc cap.Capability) {
 // Compartment implements api.Context.
 func (c *ctx) Compartment() string { return c.comp.Name() }
 
-// Telemetry implements api.Context. All registry handles are nil-safe, so
-// compartment code instruments unconditionally and pays one nil check when
-// telemetry is disabled.
-func (c *ctx) Telemetry() *telemetry.Registry { return c.k.Telemetry() }
-
-// FlightRecorder implements api.Context. The recorder's methods are
-// nil-safe, so compartment code records unconditionally.
-func (c *ctx) FlightRecorder() *flightrec.Recorder { return c.k.FlightRecorder() }
+// entry returns the name of the entry point this context executes.
+func (c *ctx) entry() string { return c.t.frames[c.frameIdx].exp.Name }
 
 // Caller implements api.Context, reading the trusted stack.
 func (c *ctx) Caller() string {
@@ -213,13 +205,7 @@ func (c *ctx) StackAlloc(n uint32) cap.Capability {
 	at := c.t.stackCap.WithAddress(base)
 	buf, err := at.SetBounds(n)
 	c.trapIf(err, at)
-	if rec := c.k.FlightRecorder(); rec.Enabled() {
-		if c.t.stackNode == 0 {
-			c.t.stackNode = rec.Root(c.comp.Name(),
-				c.t.stack.Base, c.t.stack.Top(), "stack "+c.t.Name)
-		}
-		rec.Derive(c.t.stackNode, c.comp.Name(), buf, "stack_alloc")
-	}
+	c.k.onStackAlloc(c, buf)
 	return buf
 }
 

@@ -128,6 +128,7 @@ func (k *Kernel) SetLazyStackZeroing(on bool) { k.lazyZeroing = on }
 func (k *Kernel) AddComp(c *Comp) {
 	k.comps[c.Name()] = c
 	c.acct = k.subs().tel.Account(c.Name())
+	c.ev = Reporter{k: k, comp: c.Name()}
 }
 
 // AddLib registers a runtime shared library built by the loader.
@@ -216,7 +217,6 @@ func (k *Kernel) AddThread(def *firmware.Thread, layout firmware.ThreadLayout) *
 func (k *Kernel) EnableTelemetry(r *telemetry.Registry) {
 	p := k.attach()
 	p.tel = r
-	r.SetNow(k.Core.Clock.Cycles)
 	r.SetBase(k.Core.Clock.Cycles())
 	p.sw = r.Account(telemetry.DomainSwitcher)
 	p.sched = r.Account(telemetry.DomainSched)
@@ -228,15 +228,12 @@ func (k *Kernel) EnableTelemetry(r *telemetry.Registry) {
 	p.preempts = r.Counter(telemetry.DomainSched, "preemptions")
 	for _, c := range k.comps {
 		c.acct = r.Account(c.Name())
+		c.ev = Reporter{k: k, comp: c.Name()} // handles of the new registry
 	}
 	for _, t := range k.threads {
 		t.acct = r.ThreadAccount(t.Name)
 	}
-	if ring := r.Ring(); ring != nil {
-		p.ring = ring
-	} else if p.ring != nil {
-		r.AttachRing(p.ring)
-	}
+	r.AttachRing(p.ring)
 	// Until the first dispatch, time belongs to the switcher and to no
 	// thread.
 	p.comp, p.thread = p.sw, nil

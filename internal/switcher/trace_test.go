@@ -8,7 +8,6 @@ import (
 	"github.com/cheriot-go/cheriot/internal/core"
 	"github.com/cheriot-go/cheriot/internal/firmware"
 	"github.com/cheriot-go/cheriot/internal/hw"
-	"github.com/cheriot-go/cheriot/internal/switcher"
 	"github.com/cheriot-go/cheriot/internal/telemetry"
 )
 
@@ -53,17 +52,17 @@ func TestKernelTrace(t *testing.T) {
 	var story []string
 	for _, e := range events {
 		switch e.Kind {
-		case switcher.TraceCall:
+		case telemetry.KindCall:
 			if e.To == "svc" {
 				story = append(story, "call:"+e.Entry)
 			}
-		case switcher.TraceReturn:
+		case telemetry.KindReturn:
 			if e.To == "svc" {
 				story = append(story, "return:"+e.Entry)
 			}
-		case switcher.TraceTrap:
+		case telemetry.KindTrap:
 			story = append(story, "trap:"+e.Detail)
-		case switcher.TraceUnwind:
+		case telemetry.KindUnwind:
 			story = append(story, "unwind:"+e.To)
 		}
 	}
@@ -143,14 +142,14 @@ func TestTraceKindStringsExhaustive(t *testing.T) {
 	// Every trace kind — the original five switcher kinds and the telemetry
 	// layer's allocator/scheduler/netstack additions — must render and
 	// classify; "?" is reserved for out-of-range values.
-	for k := switcher.TraceKind(0); k < telemetry.KindCount; k++ {
+	for k := telemetry.Kind(0); k < telemetry.KindCount; k++ {
 		if k.String() == "?" || k.String() == "" {
-			t.Errorf("TraceKind(%d) has no String rendering", k)
+			t.Errorf("Kind(%d) has no String rendering", k)
 		}
 		if k.Layer() == "?" || k.Layer() == "" {
-			t.Errorf("TraceKind(%d) = %q has no layer", k, k)
+			t.Errorf("Kind(%d) = %q has no layer", k, k)
 		}
-		ev := switcher.TraceEvent{Cycle: 1, Kind: k, Thread: "t", From: "a", To: "b", Entry: "e"}
+		ev := telemetry.Event{Cycle: 1, Kind: k, Thread: "t", From: "a", To: "b", Entry: "e"}
 		if s := ev.String(); strings.HasSuffix(s, "?") {
 			t.Errorf("event with kind %q renders as %q", k, s)
 		}

@@ -15,9 +15,8 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Histogram("a", "b", DefaultSizeBuckets).Observe(7)
 	r.Account("a").Charge(1)
 	r.ThreadAccount("t")
-	r.Emit(Event{Kind: KindMark})
-	r.EnableTrace(8)
-	if r.AttributedCycles() != 0 || r.Ring() != nil || r.Hz() != 0 {
+	r.AttachRing(NewRing(8))
+	if r.AttributedCycles() != 0 || r.Hz() != 0 {
 		t.Fatal("nil registry must read as empty")
 	}
 	if got := r.Snapshot(); got.AttributedCycles != 0 {
@@ -131,8 +130,9 @@ func TestSnapshotAndJSON(t *testing.T) {
 	r.Histogram("alloc", "size_bytes", DefaultSizeBuckets).Observe(100)
 	r.Account("app").Charge(10)
 	r.ThreadAccount("t0").Charge(10)
-	r.EnableTrace(8)
-	r.Emit(Event{Cycle: 42, Kind: KindNetRx, To: "tcpip", Arg: 60})
+	ring := NewRing(8)
+	r.AttachRing(ring)
+	ring.Record(Event{Cycle: 42, Kind: KindNetRx, To: "tcpip", Arg: 60})
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -163,12 +163,13 @@ func TestSnapshotAndJSON(t *testing.T) {
 
 func TestChromeTraceExport(t *testing.T) {
 	r := NewRegistry(33_000_000)
-	r.EnableTrace(64)
-	r.Emit(Event{Cycle: 100, Kind: KindSwitch, Thread: "t0"})
-	r.Emit(Event{Cycle: 200, Kind: KindCall, Thread: "t0", From: "app", To: "alloc", Entry: "heap_allocate"})
-	r.Emit(Event{Cycle: 300, Kind: KindAlloc, Thread: "t0", To: "app", Arg: 64})
-	r.Emit(Event{Cycle: 400, Kind: KindReturn, Thread: "t0", From: "app", To: "alloc", Entry: "heap_allocate"})
-	r.Emit(Event{Cycle: 500, Kind: KindNetTx, Thread: "t0", To: "tcpip", Arg: 128})
+	ring := NewRing(64)
+	r.AttachRing(ring)
+	ring.Record(Event{Cycle: 100, Kind: KindSwitch, Thread: "t0"})
+	ring.Record(Event{Cycle: 200, Kind: KindCall, Thread: "t0", From: "app", To: "alloc", Entry: "heap_allocate"})
+	ring.Record(Event{Cycle: 300, Kind: KindAlloc, Thread: "t0", To: "app", Arg: 64})
+	ring.Record(Event{Cycle: 400, Kind: KindReturn, Thread: "t0", From: "app", To: "alloc", Entry: "heap_allocate"})
+	ring.Record(Event{Cycle: 500, Kind: KindNetTx, Thread: "t0", To: "tcpip", Arg: 128})
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -215,14 +216,15 @@ func TestChromeTraceExport(t *testing.T) {
 
 func TestChromeTraceBalancesTruncatedRing(t *testing.T) {
 	r := NewRegistry(33_000_000)
-	r.EnableTrace(3)
+	ring := NewRing(3)
+	r.AttachRing(ring)
 	// The call event falls off the ring; its return survives. The export
 	// must skip the unmatched E and close any dangling B.
-	r.Emit(Event{Cycle: 1, Kind: KindCall, Thread: "t0", To: "a", Entry: "x"})
-	r.Emit(Event{Cycle: 2, Kind: KindCall, Thread: "t0", To: "b", Entry: "y"})
-	r.Emit(Event{Cycle: 3, Kind: KindReturn, Thread: "t0", To: "b", Entry: "y"})
-	r.Emit(Event{Cycle: 4, Kind: KindReturn, Thread: "t0", To: "a", Entry: "x"})
-	r.Emit(Event{Cycle: 5, Kind: KindCall, Thread: "t0", To: "c", Entry: "z"})
+	ring.Record(Event{Cycle: 1, Kind: KindCall, Thread: "t0", To: "a", Entry: "x"})
+	ring.Record(Event{Cycle: 2, Kind: KindCall, Thread: "t0", To: "b", Entry: "y"})
+	ring.Record(Event{Cycle: 3, Kind: KindReturn, Thread: "t0", To: "b", Entry: "y"})
+	ring.Record(Event{Cycle: 4, Kind: KindReturn, Thread: "t0", To: "a", Entry: "x"})
+	ring.Record(Event{Cycle: 5, Kind: KindCall, Thread: "t0", To: "c", Entry: "z"})
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {

@@ -2,10 +2,8 @@ package telemetry
 
 import "fmt"
 
-// Kind classifies trace events. The first five values mirror the original
-// switcher-only trace ring (internal/switcher re-exports them as
-// TraceKind), so existing kernel traces are unchanged; the rest extend the
-// trace across the allocator, scheduler, and network stack.
+// Kind classifies trace events: the first five are kernel transitions,
+// the rest subsystem events of the allocator, scheduler, and network.
 type Kind uint8
 
 // Trace event kinds.

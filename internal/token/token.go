@@ -77,17 +77,17 @@ func (t *Token) unseal(ctx api.Context, args []api.Value) []api.Value {
 	// The object must be sealed with the token API's hardware type.
 	obj, err := sobj.Unseal(hwAuthority)
 	if err != nil {
-		ctx.FlightRecorder().Unseal(Name, ctx.Caller(), false)
+		ctx.Observe(api.ObserveUnseal, api.W(0))
 		return api.EV(api.ErrInvalid)
 	}
 	// The header stores the virtual type; it must match the key.
 	header := obj.WithAddress(obj.Base())
 	vt := ctx.Load32(header)
 	if vt != key.Address() {
-		ctx.FlightRecorder().Unseal(Name, ctx.Caller(), false)
+		ctx.Observe(api.ObserveUnseal, api.W(0))
 		return api.EV(api.ErrNotPermitted)
 	}
-	ctx.FlightRecorder().Unseal(Name, ctx.Caller(), true)
+	ctx.Observe(api.ObserveUnseal, api.W(1))
 	payload, err := obj.WithAddress(obj.Base() + 8).SetBounds(obj.Length() - 8)
 	if err != nil {
 		return api.EV(api.ErrInvalid)
@@ -103,7 +103,7 @@ func (t *Token) keyNew(ctx api.Context, args []api.Value) []api.Value {
 	vt := t.nextType
 	t.nextType++
 	key := cap.New(vt, vt+1, vt, cap.PermSeal|cap.PermUnseal)
-	ctx.FlightRecorder().Seal(Name, key, "token_key_new")
+	ctx.Observe(api.ObserveKeyNew, api.C(key))
 	return []api.Value{api.W(uint32(api.OK)), api.C(key)}
 }
 
