@@ -189,31 +189,28 @@ func printHistogram(dumps []*flightrec.Dump) {
 }
 
 // writeChrome converts the flight-recorder timeline into telemetry
-// events and reuses the telemetry layer's Chrome-trace exporter, so
+// events and exports them the way the telemetry ring is exported, so
 // dumps open directly in chrome://tracing / Perfetto.
 func writeChrome(path string, dumps []*flightrec.Dump) error {
 	hz := uint64(hw.DefaultHz)
 	if len(dumps) > 0 && dumps[0].Hz != 0 {
 		hz = dumps[0].Hz
 	}
-	total := 0
-	for _, d := range dumps {
-		total += len(d.Events)
-	}
-	ring := telemetry.NewRing(total + 1)
+	var events []telemetry.Event
 	for _, d := range dumps {
 		for _, ev := range d.Events {
-			ring.Record(toTelemetry(ev))
+			events = append(events, toTelemetry(ev))
 		}
 	}
-	reg := telemetry.NewRegistry(hz)
-	reg.AttachRing(ring)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return reg.WriteChromeTrace(f)
+	if err := telemetry.RingTrace(events, hz).Write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // toTelemetry maps one flight-recorder record onto the telemetry event
