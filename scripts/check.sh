@@ -21,19 +21,21 @@ echo "ok"
 echo "== go test -race =="
 go test -race ./...
 
-echo "== fuzz the wire decoders and spec parsers =="
+echo "== fuzz the wire decoders, spec parsers and profile export =="
 # Each target runs briefly from its committed seed corpus (testdata/fuzz
 # in its package): the broker's inbound TLS and MQTT decoders, the
-# device's frame, UDP, TCP, DNS, SNTP and DHCP decoders, and the -slo
-# and -profiles spec parsers. A panic, a broken round trip or an
-# accepted non-finite value fails the check, and the crashing input is
+# device's frame, UDP, TCP, DNS, SNTP and DHCP decoders, the -slo and
+# -profiles spec parsers, and the profile Chrome export (cheriot-prof
+# chrome). A panic, a broken round trip, an accepted non-finite value or
+# an unbalanced export fails the check, and the crashing input is
 # written to the corpus. Minimizing is capped so that shrinking a new
 # corpus entry cannot eat the whole 10 s budget.
 for target in netproto:FuzzDecodeClientHello netproto:FuzzSessionOpen \
 	netproto:FuzzDecodeMQTT netproto:FuzzMQTTRoundTrip netproto:FuzzDecodeHeader \
 	netproto:FuzzDecodeUDP netproto:FuzzDecodeTCP netproto:FuzzDecodeDNSQuery \
 	netproto:FuzzDecodeDNSReply netproto:FuzzDecodeNTPRequest netproto:FuzzDecodeNTPReply \
-	netproto:FuzzDecodeDHCP fleetobs:FuzzParseRules fleet:FuzzParseProfiles; do
+	netproto:FuzzDecodeDHCP fleetobs:FuzzParseRules fleet:FuzzParseProfiles \
+	prof:FuzzProfileChrome; do
 	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s -fuzzminimizetime 2s \
 		"./internal/${target%%:*}/"
 done
