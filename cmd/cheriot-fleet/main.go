@@ -77,7 +77,7 @@ func main() {
 	}
 	res, err := fleet.Run(cfg)
 	if err != nil {
-		log.Fatalf("fleet: %v", err)
+		log.Fatal(err) // fleet.Run errors name their package already
 	}
 	s := res.Summary
 

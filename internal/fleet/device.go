@@ -199,7 +199,7 @@ func buildDevice(cfg *Config, cl *cloud.Plane, schedule []cloud.Event, i int) (*
 	}
 	d.bootWall = time.Since(t0)
 	if err != nil {
-		return nil, fmt.Errorf("device %d: %w", i, err)
+		return nil, fmt.Errorf("fleet: device %d: %w", i, err)
 	}
 	d.Sys = sys
 	d.Stack = stack
