@@ -996,10 +996,10 @@ func summarize(cfg Config, cl *cloud.Plane, devices []*Device,
 	if s.SimSeconds > 0 {
 		s.PublishesPerSimSecond = float64(s.Publishes) / s.SimSeconds
 	}
-	s.ConnectP50Ms = cyclesToMs(percentile(connectLat, 0.50))
-	s.ConnectP99Ms = cyclesToMs(percentile(connectLat, 0.99))
-	s.PublishP50Ms = cyclesToMs(percentile(publishLat, 0.50))
-	s.PublishP99Ms = cyclesToMs(percentile(publishLat, 0.99))
+	s.ConnectP50Ms = fleetobs.CyclesToMs(fleetobs.Percentile(connectLat, 0.50), hw.DefaultHz)
+	s.ConnectP99Ms = fleetobs.CyclesToMs(fleetobs.Percentile(connectLat, 0.99), hw.DefaultHz)
+	s.PublishP50Ms = fleetobs.CyclesToMs(fleetobs.Percentile(publishLat, 0.50), hw.DefaultHz)
+	s.PublishP99Ms = fleetobs.CyclesToMs(fleetobs.Percentile(publishLat, 0.99), hw.DefaultHz)
 
 	s.BrokerShards = cl.ShardStats()
 	// Stable shard order regardless of worker scheduling: the per-shard
@@ -1112,26 +1112,4 @@ func counterSum(counters []telemetry.MetricSnapshot, comp, metric string) int64 
 		}
 	}
 	return 0
-}
-
-// percentile returns the q-th percentile (nearest-rank) of the samples.
-func percentile(samples []uint64, q float64) uint64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := make([]uint64, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-func cyclesToMs(cycles uint64) float64 {
-	return float64(cycles) * 1000 / float64(hw.DefaultHz)
 }
