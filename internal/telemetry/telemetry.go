@@ -1,7 +1,10 @@
 // Package telemetry is the unified observability layer of the simulated
 // platform: typed counters, gauges, and fixed-bucket histograms keyed by
 // (compartment, metric); per-compartment and per-thread cycle accounting;
-// and a bounded event trace generalizing the switcher's kernel ring.
+// a bounded event trace generalizing the switcher's kernel ring; and the
+// repo's one Chrome trace_event exporter (ChromeTrace), which the ring,
+// the profiler (internal/prof), fleet spans (internal/fleetobs) and
+// flight-recorder dumps (cheriot-inspect) all write through.
 //
 // Design constraints, in order:
 //
